@@ -17,7 +17,7 @@
 
 #include "bench_util.h"
 #include "sched/hill_climb.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 using namespace recstack::bench;
@@ -38,12 +38,19 @@ baseConfig(double qps)
     cfg.maxBatch = kMaxBatch;
     cfg.maxWaitSeconds = kWindow;
     cfg.simSeconds = kSimSeconds;
+    return cfg;
+}
+
+/** baseConfig plus the T4 accelerator lane. */
+EngineConfig
+heteroConfig(double qps)
+{
+    EngineConfig cfg = baseConfig(qps);
     // Match the lane's accumulation to the front queue: the GPU's
     // service time is near-linear in batch beyond the grid's
     // amortization knee, so batching past the front queue's cap only
     // stretches the tail without buying throughput.
-    cfg.gpuLane.maxBatch = kMaxBatch;
-    cfg.gpuLane.maxWaitSeconds = kWindow;
+    cfg.lanes = {LaneConfig{kT4, {kMaxBatch, kWindow}}};
     return cfg;
 }
 
@@ -88,9 +95,9 @@ studyModel(QueryScheduler& sched, ModelId model)
     ModelStudy st;
     st.model = model;
 
-    ServingEngine cpu(&sched, model, kBdw);
-    ServingEngine gpu(&sched, model, kT4);
-    ServingEngine hetero(&sched, model, kBdw);
+    ServingNode cpu(&sched, model, kBdw);
+    ServingNode gpu(&sched, model, kT4);
+    ServingNode hetero(&sched, model, kBdw);
 
     // Per-platform single-server capacities from the characterization
     // grid anchor the rate ladder and the SLA probe.
@@ -127,9 +134,7 @@ studyModel(QueryScheduler& sched, ModelId model)
     tune.startIndex = 2;
     tune.epochSeconds = kSimSeconds;
     const double tune_rate = 0.8 * combined;
-    EngineConfig hcfg = baseConfig(tune_rate);
-    hcfg.heterogeneous = true;
-    hcfg.gpuPlatformIdx = kT4;
+    const EngineConfig hcfg = heteroConfig(tune_rate);
     const EpochFn epoch = [&](int64_t threshold) {
         sched.setGpuThreshold(st.model, threshold);
         hetero.run(hcfg);
@@ -161,10 +166,7 @@ studyModel(QueryScheduler& sched, ModelId model)
     for (double rate : st.ladder) {
         const EngineResult rc = cpu.run(baseConfig(rate));
         const EngineResult rg = gpu.run(baseConfig(rate));
-        EngineConfig hl = baseConfig(rate);
-        hl.heterogeneous = true;
-        hl.gpuPlatformIdx = kT4;
-        const EngineResult rh = hetero.run(hl);
+        const EngineResult rh = hetero.run(heteroConfig(rate));
 
         const double pc =
             updateCapacity(rc, rate, st.sla, &st.cpuCapacity);
@@ -176,7 +178,7 @@ studyModel(QueryScheduler& sched, ModelId model)
         st.heteroP99.push_back(ph);
         const double share =
             rh.aggregate.samplesServed > 0
-                ? static_cast<double>(rh.gpuLaneStats.samplesServed) /
+                ? static_cast<double>(rh.lanes.at(0).stats.samplesServed) /
                       static_cast<double>(rh.aggregate.samplesServed)
                 : 0.0;
         std::string ok;

@@ -24,7 +24,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -118,7 +118,7 @@ runBench()
     opts.tableScale = 0.01;
     SweepCache sweep(allPlatforms(), opts);
     QueryScheduler sched(&sweep, {1, 16, 256, 4096});
-    ServingEngine engine(&sched, ModelId::kRM1, bench::kBdw);
+    ServingNode engine(&sched, ModelId::kRM1, bench::kBdw);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 2000.0;

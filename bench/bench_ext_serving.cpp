@@ -8,8 +8,8 @@
  */
 
 #include "bench_util.h"
-#include "sched/serving_sim.h"
-#include "serve/serving_engine.h"
+#include "fleet/fleet_sim.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 using namespace recstack::bench;
@@ -38,19 +38,26 @@ engineSection(QueryScheduler& sched)
     cfg.maxWaitSeconds = 1e-3;
     cfg.simSeconds = 0.25;
 
-    // 1-worker cross-check against the analytical simulator at a
-    // servable load.
-    ServingConfig sim_cfg;
-    sim_cfg.arrivalQps = 0.5 * cap1;
-    sim_cfg.maxBatch = max_batch;
-    sim_cfg.maxWaitSeconds = cfg.maxWaitSeconds;
-    sim_cfg.simSeconds = cfg.simSeconds;
-    ServingSimulator sim(&sched, ModelId::kRM2, kBdw);
-    const ServingStats analytical = sim.simulate(sim_cfg);
-    ServingEngine engine(&sched, ModelId::kRM2, kBdw);
+    // 1-worker cross-check against the analytical 1-node fleet twin
+    // at a servable load: the same Poisson stream, batched by the same
+    // core without threads or executed batches.
+    fleet::FleetConfig twin_cfg;
+    twin_cfg.numNodes = 1;
+    twin_cfg.policy = fleet::RoutePolicy::kRoundRobin;
+    twin_cfg.workersPerNode = 1;
+    twin_cfg.maxBatch = max_batch;
+    twin_cfg.maxWaitSeconds = cfg.maxWaitSeconds;
+    twin_cfg.simSeconds = cfg.simSeconds;
+    fleet::TrafficConfig traffic;
+    traffic.baseQps = 0.5 * cap1;
+    traffic.seed = cfg.seed;
+    fleet::FleetSimulator twin(&sched, ModelId::kRM2, kBdw);
+    const ServingStats analytical =
+        twin.simulate(twin_cfg, traffic).aggregate;
+    ServingNode engine(&sched, ModelId::kRM2, kBdw);
     EngineConfig one = cfg;
     one.numWorkers = 1;
-    one.arrivalQps = sim_cfg.arrivalQps;
+    one.arrivalQps = traffic.baseQps;
     const EngineResult measured = engine.run(one);
 
     TextTable table({"workers", "agg qps", "p95", "mean batch",
@@ -78,7 +85,7 @@ engineSection(QueryScheduler& sched)
         analytical.meanLatency;
     check(rel_err < 0.10,
           "at 1 worker the threaded engine's mean latency agrees with "
-          "the analytical simulator within 10%");
+          "the analytical 1-node fleet twin within 10%");
     bool monotone = true;
     for (size_t i = 1; i < results.size(); ++i) {
         monotone &= results[i].aggregate.throughputQps >=
@@ -113,16 +120,19 @@ main()
                      "T4 util", "tail winner"});
     std::vector<size_t> winners;
     for (double qps : loads) {
-        ServingConfig cfg;
+        // One server per platform: a 1-worker node, contention off,
+        // shape-only execution.
+        EngineConfig cfg;
         cfg.arrivalQps = qps;
         cfg.maxBatch = 1024;
         cfg.maxWaitSeconds = 1e-3;
         cfg.simSeconds = 0.5;
+        cfg.modelContention = false;
 
-        ServingSimulator clx(&sched, ModelId::kWnD, kClx);
-        ServingSimulator t4(&sched, ModelId::kWnD, kT4);
-        const ServingStats a = clx.simulate(cfg);
-        const ServingStats b = t4.simulate(cfg);
+        ServingNode clx(&sched, ModelId::kWnD, kClx);
+        ServingNode t4(&sched, ModelId::kWnD, kT4);
+        const ServingStats a = clx.run(cfg).aggregate;
+        const ServingStats b = t4.run(cfg).aggregate;
         const bool t4_wins = b.p99Latency < a.p99Latency;
         winners.push_back(t4_wins ? kT4 : kClx);
         table.addRow({TextTable::fmt(qps, 0),

@@ -24,7 +24,7 @@
 #include "common/thread_pool.h"
 #include "graph/executor.h"
 #include "models/model.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -106,14 +106,14 @@ runBench()
     }
 
     // Serving engine: same pool shared by the inter-op workers.
-    std::printf("\nServingEngine (WnD tiny, 2 workers, numeric):\n");
+    std::printf("\nServingNode (WnD tiny, 2 workers, numeric):\n");
     SweepCache sweep(allPlatforms(), [] {
         ModelOptions tiny = tinyOptions();
         tiny.tableScale = 0.01;
         return tiny;
     }());
     QueryScheduler sched(&sweep, {1, 16, 256, 4096});
-    ServingEngine engine(&sched, ModelId::kWnD, bench::kBdw);
+    ServingNode engine(&sched, ModelId::kWnD, bench::kBdw);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 2000;

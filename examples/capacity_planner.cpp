@@ -13,7 +13,7 @@
 #include <string>
 
 #include "report/table.h"
-#include "sched/serving_sim.h"
+#include "serve/serving_node.h"
 #include "uarch/multicore.h"
 
 using namespace recstack;
@@ -30,13 +30,16 @@ bestOperatingPoint(QueryScheduler& sched, ModelId model, size_t platform,
     ServingStats best{};
     *chosen_qps = 0.0;
     for (double qps = 500; qps <= 4.1e6; qps *= 2.0) {
-        ServingSimulator sim(&sched, model, platform);
-        ServingConfig cfg;
+        // One engine: a 1-worker node, contention off (co-location
+        // is priced per socket below), shape-only execution.
+        ServingNode node(&sched, model, platform);
+        EngineConfig cfg;
         cfg.arrivalQps = qps;
         cfg.maxBatch = 2048;
         cfg.maxWaitSeconds = sla / 4.0;
         cfg.simSeconds = 0.4;
-        const ServingStats stats = sim.simulate(cfg);
+        cfg.modelContention = false;
+        const ServingStats stats = node.run(cfg).aggregate;
         if (stats.p99Latency <= sla &&
             stats.throughputQps > best.throughputQps) {
             best = stats;

@@ -15,7 +15,7 @@
 
 #include "report/table.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 
@@ -105,7 +105,7 @@ main(int argc, char** argv)
                 sweep.platforms()[cpu_idx].name().c_str(), 3.0 * cap1);
     TextTable fleet({"workers", "agg throughput", "p99", "util",
                      "mean slowdown"});
-    ServingEngine engine(&sched, id, cpu_idx);
+    ServingNode engine(&sched, id, cpu_idx);
     for (int workers : {1, 2, 4, 8}) {
         EngineConfig cfg;
         cfg.numWorkers = workers;

@@ -26,7 +26,7 @@
  * parallelFor calls from inside a pool worker (nested parallelism)
  * degrade to serial inline execution — the pool never deadlocks on
  * its own workers. Concurrent parallelFor calls from independent
- * threads (e.g. ServingEngine workers) share the same pool; their
+ * threads (e.g. ServingNode workers) share the same pool; their
  * chunk tasks interleave in the submission queue.
  */
 

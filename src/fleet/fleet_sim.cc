@@ -1,14 +1,12 @@
 #include "fleet/fleet_sim.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <limits>
 #include <memory>
 
 #include "common/logging.h"
 #include "models/store_binding.h"
-#include "serve/batch_queue.h"
+#include "serve/batcher.h"
 #include "serve/contention.h"
 
 namespace recstack {
@@ -16,302 +14,144 @@ namespace fleet {
 namespace {
 
 /**
- * Analytic twin of one ServingNode: the exact BatchQueue state
- * machine (serve/batch_queue.cc) run sequentially instead of across
- * threads, advanced incrementally so the router can ask for a node's
- * queue depth at any arrival instant.
+ * Analytic twin of one ServingNode: the batching core BatchQueue
+ * wraps (serve/batcher.h), driven sequentially instead of across
+ * threads and advanced incrementally so the router can ask for a
+ * node's queue depth at any arrival instant.
  *
- * The twin distinguishes what the real queue cannot: during the run
- * only arrivals before the global frontier are *known* (later global
- * arrivals have not been routed yet), so any launch decision that
- * could be changed by a still-unrouted arrival stalls until the
- * frontier passes its decision point. Because arrivals are routed in
- * strictly increasing time order, every stall eventually resolves
- * with exactly the knowledge the real BatchQueue would have had from
- * the full trace — which is what the differential replay test pins
- * (a captured trace fed to ServingNode::runTrace reproduces the
- * twin's stats).
+ * The twin's arrival source is the routed sub-stream. While nothing
+ * routed is waiting and the global stream has not ended, it answers
+ * "not known yet": the next arrival routed here could still land
+ * inside the window, fill the batch, or never come (the real queue
+ * would then drain at once), so the walk stalls until the router
+ * knows more. Arrivals are routed in strictly increasing time order,
+ * so every stall resolves with exactly the knowledge the real
+ * BatchQueue has from the full trace — which is what the differential
+ * replay test pins (a captured trace fed to ServingNode::runTrace
+ * reproduces the twin's stats).
  */
 class VirtualNode
 {
   public:
-    VirtualNode(QueryScheduler* scheduler, ModelId model,
-                size_t platform_idx, const FleetConfig& config,
-                const std::vector<double>& factors,
-                double remote_seconds_per_sample)
-        : scheduler_(scheduler), model_(model),
-          platformIdx_(platform_idx), workers_(config.workersPerNode),
-          maxBatch_(config.maxBatch),
-          maxWait_(config.maxWaitSeconds),
-          horizon_(config.simSeconds), factors_(factors),
-          remotePerSample_(remote_seconds_per_sample),
+    VirtualNode(const CpuBatchPrice& price, const FleetConfig& config)
+        : core_({config.maxBatch, config.maxWaitSeconds,
+                 config.workersPerNode},
+                ArrivalSource::routed()),
+          service_([&price](const BatchTicket& ticket, int busy) {
+              return price.seconds(ticket.size(), price.factor(busy));
+          }),
+          horizon_(config.simSeconds),
+          workers_(static_cast<size_t>(config.workersPerNode)),
           histogram_(config.histogramLoSeconds,
                      config.histogramHiSeconds,
                      config.histogramBuckets)
     {
-        readyTime_.assign(static_cast<size_t>(workers_), 0.0);
-        active_.assign(static_cast<size_t>(workers_), true);
-        perWorkerBusy_.assign(static_cast<size_t>(workers_), 0.0);
-        perWorkerLatencies_.resize(static_cast<size_t>(workers_));
-        perWorkerLast_.assign(static_cast<size_t>(workers_), 0.0);
     }
 
     /** Route one arrival here (strictly increasing timestamps). */
-    void addArrival(double t)
-    {
-        known_.push_back(t);
-        ++arrived_;
-    }
+    void addArrival(double t) { core_.source().push(t); }
 
     /** No further arrivals will ever be routed to this node. */
-    void endStream() { streamEnded_ = true; }
+    void endStream() { core_.source().end(); }
 
     /**
      * Outstanding work at time @c t for power-of-two-choices: queued
-     * samples (admitted or routed-but-unadmitted — the real queue
-     * would have admitted them by @c t) plus workers still in virtual
-     * service (strict >, the busyAtLaunch convention). Call
-     * advance(t) first.
+     * samples (admitted or routed-but-unadmitted) plus workers still
+     * in virtual service (strict >, the busyAtLaunch convention).
+     * Call advance(t) first.
      */
     double depth(double t) const
     {
-        double d = static_cast<double>(known_.size() + pending_.size());
-        for (size_t v = 0; v < readyTime_.size(); ++v) {
-            if (active_[v] && readyTime_[v] > t) {
-                d += 1.0;
-            }
-        }
-        return d;
+        return static_cast<double>(core_.source().known() +
+                                   core_.pending()) +
+               static_cast<double>(core_.inServiceAt(t));
     }
 
     /**
-     * Process every launch whose time is strictly before @c frontier
-     * (pass +inf after endStream() to drain and retire all workers).
+     * Process every launch whose walk starts strictly before
+     * @c frontier (pass +inf after endStream() to drain and retire
+     * all workers).
      */
     void advance(double frontier)
     {
+        BatchTicket ticket;
+        double completion = 0.0;
+        int busy = 0;
+        Batcher::Reason reason = Batcher::Reason::kFull;
         while (true) {
-            const int w = nextWorker();
-            if (w < 0) {
-                return;  // all workers retired
+            const int w = core_.turn();
+            if (w < 0 || core_.readyTime(w) >= frontier) {
+                return;  // all retired, or launch at/after the frontier
             }
-            if (!streamEnded_ &&
-                readyTime_[static_cast<size_t>(w)] >= frontier) {
-                return;  // launch would be at/after the frontier
-            }
-            if (tryAcquire(w, frontier) == Step::kStalled) {
+            const Batcher::Step step = core_.walk(
+                w, service_, &ticket, &completion, &busy, &reason);
+            if (step == Batcher::Step::kStalled) {
                 return;
+            }
+            if (step == Batcher::Step::kLaunched) {
+                Worker& worker = workers_[static_cast<size_t>(w)];
+                worker.busy += completion - ticket.launchTime;
+                worker.last = std::max(worker.last, completion);
+                for (double arrival : ticket.arrivals) {
+                    worker.latencies.push_back(completion - arrival);
+                    histogram_.record(completion - arrival);
+                }
+                samplesServed_ += static_cast<uint64_t>(ticket.size());
+                ++batchesServed_;
             }
         }
     }
 
-    uint64_t arrived() const { return arrived_; }
-    uint64_t samplesServed() const { return samplesServed_; }
-    uint64_t batchesServed() const { return batchesServed_; }
+    uint64_t arrived() const { return core_.admitted(); }
     const obs::LatencyHistogram& histogram() const { return histogram_; }
 
     /**
      * Fold this node's run into ServingStats with exactly the
      * formulas ServingNode uses (worker-order summation, shared
      * fillLatencyStats), so the differential replay matches to the
-     * last bit. Returns the node-local horizon.
+     * last bit. Returns the node-local horizon; @c busy_seconds gets
+     * the node's total busy time.
      */
     double finalize(ServingStats* stats,
-                    std::vector<double>* pooled_latencies)
+                    std::vector<double>* pooled_latencies,
+                    double* busy_seconds)
     {
         double horizon = horizon_;
-        for (double last : perWorkerLast_) {
-            horizon = std::max(horizon, last);
+        for (const Worker& worker : workers_) {
+            horizon = std::max(horizon, worker.last);
         }
         std::vector<double> all;
         double busy = 0.0;
-        for (size_t w = 0; w < perWorkerLatencies_.size(); ++w) {
-            all.insert(all.end(), perWorkerLatencies_[w].begin(),
-                       perWorkerLatencies_[w].end());
-            busy += perWorkerBusy_[w];
+        for (const Worker& worker : workers_) {
+            all.insert(all.end(), worker.latencies.begin(),
+                       worker.latencies.end());
+            busy += worker.busy;
         }
-        stats->samplesArrived = arrived_;
-        stats->samplesServed = samplesServed_;
-        stats->batchesServed = batchesServed_;
-        stats->meanBatch =
-            batchesServed_ > 0
-                ? static_cast<double>(samplesServed_) /
-                      static_cast<double>(batchesServed_)
-                : 0.0;
-        stats->utilization = std::min(
-            1.0, busy / (static_cast<double>(workers_) * horizon));
-        stats->offeredLoad =
-            busy / (static_cast<double>(workers_) * horizon_);
-        stats->throughputQps =
-            static_cast<double>(samplesServed_) / horizon;
-        if (pooled_latencies != nullptr) {
-            pooled_latencies->insert(pooled_latencies->end(),
-                                     all.begin(), all.end());
-        }
+        stats->samplesArrived = arrived();
+        fillLoadStats(samplesServed_, batchesServed_, busy,
+                      static_cast<double>(workers_.size()), horizon,
+                      horizon_, stats);
+        pooled_latencies->insert(pooled_latencies->end(), all.begin(),
+                                 all.end());
         fillLatencyStats(all, stats);
-        totalBusy_ = busy;
+        *busy_seconds = busy;
         return horizon;
     }
 
-    double totalBusySeconds() const { return totalBusy_; }
-
   private:
-    enum class Step { kLaunched, kRetired, kStalled };
+    /** What one worker served, for finalize(). */
+    struct Worker {
+        double busy = 0.0;
+        double last = 0.0;
+        std::vector<double> latencies;
+    };
 
-    /** Active worker with the earliest free time (low id ties). */
-    int nextWorker() const
-    {
-        int best = -1;
-        for (size_t v = 0; v < readyTime_.size(); ++v) {
-            if (!active_[v]) {
-                continue;
-            }
-            if (best < 0 ||
-                readyTime_[v] < readyTime_[static_cast<size_t>(best)]) {
-                best = static_cast<int>(v);
-            }
-        }
-        return best;
-    }
-
-    void admitOne()
-    {
-        pending_.push_back(known_.front());
-        known_.pop_front();
-    }
-
-    void admitUpTo(double t)
-    {
-        while (!known_.empty() && known_.front() <= t) {
-            admitOne();
-        }
-    }
-
-    bool exhausted() const { return streamEnded_ && known_.empty(); }
-
-    /** One BatchQueue::acquire walk for worker @c w. */
-    Step tryAcquire(int w, double frontier)
-    {
-        double t;
-        if (walkActive_) {
-            // BatchQueue::acquire is one uninterrupted walk whose
-            // virtual time only moves forward; a stalled walk must
-            // resume from where it paused (its admissions are already
-            // in pending_), not restart at the worker's free time.
-            RECSTACK_CHECK(walkWorker_ == w,
-                           "stalled walk resumed by a different worker");
-            t = walkT_;
-            walkActive_ = false;
-        } else {
-            t = readyTime_[static_cast<size_t>(w)];
-            admitUpTo(t);
-        }
-        while (true) {
-            if (static_cast<int64_t>(pending_.size()) >= maxBatch_) {
-                break;  // batch-full
-            }
-            if (exhausted()) {
-                if (pending_.empty()) {
-                    active_[static_cast<size_t>(w)] = false;
-                    return Step::kRetired;
-                }
-                break;  // draining
-            }
-            if (!pending_.empty()) {
-                if (t - pending_.front() >= maxWait_) {
-                    break;  // window-expired at t
-                }
-                const double expiry = pending_.front() + maxWait_;
-                if (!known_.empty() && known_.front() <= expiry) {
-                    t = known_.front();
-                    admitOne();
-                    continue;
-                }
-                // No known arrival inside the window; conclusive only
-                // if no still-unrouted arrival (all >= frontier) can
-                // land inside it either.
-                if (!streamEnded_ && expiry >= frontier) {
-                    return stall(w, t);
-                }
-                t = expiry;
-                break;  // window expires before the next arrival
-            }
-            if (known_.empty()) {
-                return stall(w, t);  // stream active, nothing queued
-            }
-            t = known_.front();
-            admitOne();
-        }
-        launch(w, t);
-        return Step::kLaunched;
-    }
-
-    /** Park the walk so the next tryAcquire resumes at @c t. */
-    Step stall(int w, double t)
-    {
-        walkActive_ = true;
-        walkWorker_ = w;
-        walkT_ = t;
-        return Step::kStalled;
-    }
-
-    void launch(int w, double t)
-    {
-        const int64_t batch = std::min<int64_t>(
-            maxBatch_, static_cast<int64_t>(pending_.size()));
-        const int busy = BatchQueue::busyAtLaunch(
-            readyTime_, active_, static_cast<size_t>(w), t);
-        const double base =
-            scheduler_->latency(model_, platformIdx_, batch);
-        const int k = std::min(busy, workers_);
-        const double factor = factors_[static_cast<size_t>(k - 1)];
-        const double svc =
-            base * factor +
-            static_cast<double>(batch) * remotePerSample_;
-        const double completion = t + svc;
-        readyTime_[static_cast<size_t>(w)] = completion;
-        perWorkerBusy_[static_cast<size_t>(w)] += completion - t;
-        perWorkerLast_[static_cast<size_t>(w)] = std::max(
-            perWorkerLast_[static_cast<size_t>(w)], completion);
-        for (int64_t i = 0; i < batch; ++i) {
-            const double latency = completion - pending_.front();
-            perWorkerLatencies_[static_cast<size_t>(w)].push_back(
-                latency);
-            histogram_.record(latency);
-            pending_.pop_front();
-        }
-        samplesServed_ += static_cast<uint64_t>(batch);
-        ++batchesServed_;
-    }
-
-    QueryScheduler* scheduler_;
-    ModelId model_;
-    size_t platformIdx_;
-    int workers_;
-    int64_t maxBatch_;
-    double maxWait_;
+    Batcher core_;
+    Batcher::ServiceFn service_;
     double horizon_;
-    const std::vector<double>& factors_;
-    double remotePerSample_;
-
-    std::deque<double> known_;    ///< routed, not yet admitted
-    std::deque<double> pending_;  ///< admitted, waiting for a batch
-    bool streamEnded_ = false;
-    uint64_t arrived_ = 0;
-
-    bool walkActive_ = false;  ///< a stalled acquire walk is parked
-    int walkWorker_ = -1;      ///< worker owning the parked walk
-    double walkT_ = 0.0;       ///< virtual time at the stall point
-
-    std::vector<double> readyTime_;
-    std::vector<bool> active_;
-    std::vector<double> perWorkerBusy_;
-    std::vector<double> perWorkerLast_;
-    std::vector<std::vector<double>> perWorkerLatencies_;
+    std::vector<Worker> workers_;
     uint64_t samplesServed_ = 0;
     uint64_t batchesServed_ = 0;
-    double totalBusy_ = 0.0;
-
     obs::LatencyHistogram histogram_;
 };
 
@@ -340,38 +180,21 @@ FleetSimulator::simulate(const FleetConfig& config,
     RECSTACK_CHECK(traffic.numUsers > 0, "need a user population");
 
     SweepCache* sweep = scheduler_->sweep();
-    const Platform& platform = sweep->platforms()[platformIdx_];
     const Model& model = sweep->characterizer().model(model_);
-
-    // Prewarm the oracle exactly as ServingNode does, and derive the
-    // identical contention factors every node prices with.
-    for (int64_t b : scheduler_->batchGrid()) {
-        scheduler_->latency(model_, platformIdx_, b);
-    }
-    int64_t ref_batch = scheduler_->batchGrid().front();
-    for (int64_t b : scheduler_->batchGrid()) {
-        if (b <= config.maxBatch) {
-            ref_batch = b;
-        }
-    }
-    std::vector<double> factors(
-        static_cast<size_t>(config.workersPerNode), 1.0);
-    if (config.modelContention) {
-        factors = contentionSlowdowns(
-            sweep->get(model_, platformIdx_, ref_batch), platform,
-            config.workersPerNode);
-    }
 
     const PlacementView placement(config.placement, config.numNodes,
                                   model.workload);
 
+    // Every node prices its batches exactly as ServingNode does.
+    const CpuBatchPrice price(scheduler_, model_, platformIdx_,
+                              config.workersPerNode, config.maxBatch,
+                              config.modelContention,
+                              placement.remoteSecondsPerSample());
     const int M = config.numNodes;
     std::vector<std::unique_ptr<VirtualNode>> nodes;
     nodes.reserve(static_cast<size_t>(M));
     for (int n = 0; n < M; ++n) {
-        nodes.push_back(std::make_unique<VirtualNode>(
-            scheduler_, model_, platformIdx_, config, factors,
-            placement.remoteSecondsPerSample()));
+        nodes.push_back(std::make_unique<VirtualNode>(price, config));
     }
 
     FleetResult result;
@@ -434,9 +257,11 @@ FleetSimulator::simulate(const FleetConfig& config,
     for (int n = 0; n < M; ++n) {
         VirtualNode& node = *nodes[static_cast<size_t>(n)];
         FleetNodeResult& out = result.perNode[static_cast<size_t>(n)];
-        const double node_horizon = node.finalize(&out.stats, &pooled);
+        double node_busy = 0.0;
+        const double node_horizon =
+            node.finalize(&out.stats, &pooled, &node_busy);
         fleet_horizon = std::max(fleet_horizon, node_horizon);
-        total_busy += node.totalBusySeconds();
+        total_busy += node_busy;
         out.routedQueries = node.arrived();
         max_routed = std::max(max_routed, node.arrived());
         out.latencyHistogram = node.histogram().snapshot();
@@ -446,20 +271,11 @@ FleetSimulator::simulate(const FleetConfig& config,
         result.aggregate.samplesServed += out.stats.samplesServed;
         result.aggregate.batchesServed += out.stats.batchesServed;
     }
-    result.aggregate.meanBatch =
-        result.aggregate.batchesServed > 0
-            ? static_cast<double>(result.aggregate.samplesServed) /
-                  static_cast<double>(result.aggregate.batchesServed)
-            : 0.0;
-    const double capacity = static_cast<double>(M) *
-                            static_cast<double>(config.workersPerNode);
-    result.aggregate.utilization =
-        std::min(1.0, total_busy / (capacity * fleet_horizon));
-    result.aggregate.offeredLoad =
-        total_busy / (capacity * config.simSeconds);
-    result.aggregate.throughputQps =
-        static_cast<double>(result.aggregate.samplesServed) /
-        fleet_horizon;
+    fillLoadStats(result.aggregate.samplesServed,
+                  result.aggregate.batchesServed, total_busy,
+                  static_cast<double>(M) *
+                      static_cast<double>(config.workersPerNode),
+                  fleet_horizon, config.simSeconds, &result.aggregate);
     fillLatencyStats(pooled, &result.aggregate);
     result.mergedP99 = result.mergedHistogram.percentile(0.99);
     if (result.totalArrivals > 0) {

@@ -5,8 +5,8 @@
  * @file
  * FleetSimulator: M serving nodes behind a router, one virtual clock.
  *
- * The single-node layers characterize one machine (ServingNode /
- * ServingEngine); production recommendation serving runs fleets. This
+ * The single-node layer characterizes one machine (ServingNode);
+ * production recommendation serving runs fleets. This
  * simulator closes the gap analytically:
  *
  *  - Traffic: one global open-loop arrival stream — a Poisson process
@@ -18,15 +18,15 @@
  *  - Routing: a fleet/router.h policy assigns each arrival to a node
  *    in arrival order; power-of-two-choices reads the per-node queue
  *    depths at the arrival instant.
- *  - Nodes: each node is an analytic twin of ServingNode's
- *    BatchQueue discipline — same admission rules (batch-full,
- *    window-expired, drain), same strict virtual-time worker order,
- *    same contention-stretched service oracle, same placement
- *    surcharge — advanced incrementally so depth queries at arrival
- *    time are exact. The twin is pinned to the real threaded node by
- *    a differential test: captured per-node traces replayed through
- *    ServingNode::runTrace must reproduce the twin's stats
- *    (tests/test_fleet.cc).
+ *  - Nodes: each node is an analytic twin of ServingNode: the same
+ *    batching core BatchQueue wraps (serve/batcher.h), driven
+ *    sequentially over the node's routed sub-stream, with the same
+ *    CPU batch price (contention stretch + placement surcharge,
+ *    serve/contention.h), advanced incrementally so the router can
+ *    read queue depths at arrival time. The twin is pinned to the
+ *    real threaded node by a differential test: captured per-node
+ *    traces replayed through ServingNode::runTrace must reproduce the
+ *    twin's stats (tests/test_fleet.cc).
  *  - Observability: every completed query records into its node's own
  *    obs::LatencyHistogram; the fleet tail is the *merge* of those
  *    per-node histograms (HistogramSnapshot::merge), exactly the
@@ -43,7 +43,8 @@
 #include "fleet/placement.h"
 #include "fleet/router.h"
 #include "obs/metrics.h"
-#include "sched/serving_sim.h"
+#include "sched/query_scheduler.h"
+#include "serve/serving_stats.h"
 #include "workload/rate_envelope.h"
 
 namespace recstack {

@@ -33,10 +33,10 @@
  * The source NetDef must outlive the CompiledNet (unfused operators
  * are referenced, not copied).
  *
- * Set RECSTACK_DISABLE_PLANNING=1 in the environment to disable arena
- * aliasing (activations fall back to per-blob workspace allocations)
- * while keeping fusion and the compiled fast path — the escape hatch
- * when debugging a suspected aliasing problem.
+ * CompileOptions::planMemory = false disables arena aliasing
+ * (activations fall back to per-blob workspace allocations) while
+ * keeping fusion and the compiled fast path — the escape hatch when
+ * debugging a suspected aliasing problem.
  */
 
 #include <cstdint>
@@ -59,9 +59,7 @@ struct CompileOptions {
     /// stay byte-identical with the paper's framework-granularity
     /// measurements.
     bool fuseOps = true;
-    /// Emit the liveness-based arena plan. Additionally gated at
-    /// compile time by the RECSTACK_DISABLE_PLANNING environment
-    /// variable.
+    /// Emit the liveness-based arena plan.
     bool planMemory = true;
 };
 

@@ -15,8 +15,8 @@
  *
  *  - the caller supplies an EpochFn that serves one epoch of traffic
  *    at a given threshold (in practice: set
- *    QueryScheduler::setGpuThreshold and run the ServingEngine with
- *    EngineConfig::heterogeneous);
+ *    QueryScheduler::setGpuThreshold and run a ServingNode with a
+ *    GPU lane in EngineConfig::lanes);
  *  - the tuner resets the named latency histogram in
  *    obs::MetricsRegistry::global() before the epoch and reads the
  *    achieved p99 and served-query count back from its snapshot
@@ -40,7 +40,7 @@
  *
  * The tuner is deliberately generic over the epoch body: sched sits
  * below serve in the library stack, so it cannot (and does not)
- * depend on ServingEngine.
+ * depend on ServingNode.
  */
 
 #include <cstdint>
@@ -97,7 +97,7 @@ struct HillClimbResult {
  * Serve one epoch at the given threshold. The tuner resets the
  * histogram immediately before calling this and snapshots it
  * immediately after, so the body must record every served query's
- * latency into cfg.histogramName (the ServingEngine already does).
+ * latency into cfg.histogramName (ServingNode already does).
  */
 using EpochFn = std::function<void(int64_t threshold)>;
 

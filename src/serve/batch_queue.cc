@@ -1,7 +1,5 @@
 #include "serve/batch_queue.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -32,182 +30,72 @@ struct QueueMetrics {
     }
 };
 
+ArrivalSource
+makeSource(BatchQueue::Config& cfg)
+{
+    RECSTACK_CHECK(cfg.horizonSeconds > 0.0, "horizon must be > 0");
+    if (cfg.useArrivalTrace) {
+        return ArrivalSource::trace(std::move(cfg.arrivalTrace),
+                                    cfg.horizonSeconds);
+    }
+    return ArrivalSource::poisson(cfg.arrivalQps, cfg.seed,
+                                  cfg.horizonSeconds);
+}
+
 }  // namespace
 
-BatchQueue::BatchQueue(const Config& cfg)
-    : cfg_(cfg), process_(cfg.arrivalQps, cfg.seed)
+BatchQueue::BatchQueue(Config cfg)
+    : numWorkers_(cfg.numWorkers),
+      core_({cfg.maxBatch, cfg.maxWaitSeconds, cfg.numWorkers},
+            makeSource(cfg))
 {
-    RECSTACK_CHECK(cfg_.maxBatch > 0, "batch cap must be > 0");
-    RECSTACK_CHECK(cfg_.horizonSeconds > 0.0, "horizon must be > 0");
-    RECSTACK_CHECK(cfg_.numWorkers >= 1, "need at least one worker");
-    if (cfg_.useArrivalTrace) {
-        for (size_t i = 0; i < cfg_.arrivalTrace.size(); ++i) {
-            RECSTACK_CHECK(cfg_.arrivalTrace[i] >= 0.0,
-                           "trace arrivals must be >= 0");
-            RECSTACK_CHECK(i == 0 || cfg_.arrivalTrace[i] >=
-                                         cfg_.arrivalTrace[i - 1],
-                           "trace arrivals must be ascending");
-        }
-    }
-    readyTime_.assign(static_cast<size_t>(cfg_.numWorkers), 0.0);
-    active_.assign(static_cast<size_t>(cfg_.numWorkers), true);
-    nextArrival_ = drawArrival();
-    exhausted_ = nextArrival_ >= cfg_.horizonSeconds;
-}
-
-double
-BatchQueue::drawArrival()
-{
-    if (cfg_.useArrivalTrace) {
-        if (traceCursor_ >= cfg_.arrivalTrace.size()) {
-            // Past-the-end sentinel >= any horizon: flips exhausted_.
-            return cfg_.horizonSeconds;
-        }
-        return cfg_.arrivalTrace[traceCursor_++];
-    }
-    return process_.next();
-}
-
-bool
-BatchQueue::isTurn(int wid) const
-{
-    const size_t w = static_cast<size_t>(wid);
-    for (size_t v = 0; v < readyTime_.size(); ++v) {
-        if (v == w || !active_[v]) {
-            continue;
-        }
-        if (readyTime_[v] < readyTime_[w] ||
-            (readyTime_[v] == readyTime_[w] && v < w)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-void
-BatchQueue::admitOne()
-{
-    pending_.push_back(nextArrival_);
-    ++arrived_;
-    nextArrival_ = drawArrival();
-    exhausted_ = nextArrival_ >= cfg_.horizonSeconds;
-}
-
-void
-BatchQueue::admitUpTo(double t)
-{
-    while (!exhausted_ && nextArrival_ <= t) {
-        admitOne();
-    }
 }
 
 bool
 BatchQueue::acquire(int wid, const ServiceFn& service, BatchTicket* ticket,
                     double* completion, int* busy_at_launch)
 {
-    RECSTACK_CHECK(wid >= 0 && wid < cfg_.numWorkers,
-                   "worker id out of range");
+    RECSTACK_CHECK(wid >= 0 && wid < numWorkers_, "worker id out of range");
     obs::ScopedSpan span("queue.acquire", {{"worker", wid}});
     std::unique_lock<std::mutex> lock(mu_);
-    RECSTACK_CHECK(active_[static_cast<size_t>(wid)],
-                   "acquire on a retired worker");
-    cv_.wait(lock, [&] { return isTurn(wid); });
+    RECSTACK_CHECK(!core_.retired(wid), "acquire on a retired worker");
+    cv_.wait(lock, [&] { return core_.turn() == wid; });
 
-    // Walk virtual time forward from this worker's free point until an
-    // admission rule fires. This is the same event sequence the
-    // analytical simulator steps through, so at one worker the two
-    // systems serve identical batches.
-    QueueMetrics& qm = QueueMetrics::get();
-    double t = readyTime_[static_cast<size_t>(wid)];
-    admitUpTo(t);
-    while (true) {
-        if (static_cast<int64_t>(pending_.size()) >= cfg_.maxBatch) {
-            qm.launchFull.add();
-            break;  // batch-full
-        }
-        if (exhausted_) {
-            if (pending_.empty()) {
-                active_[static_cast<size_t>(wid)] = false;
-                cv_.notify_all();
-                return false;  // drained: worker retires
-            }
-            qm.launchDrain.add();
-            break;  // draining: flush what is queued
-        }
-        if (!pending_.empty()) {
-            if (t - pending_.front() >= cfg_.maxWaitSeconds) {
-                qm.launchWindow.add();
-                break;  // window-expired
-            }
-            const double expiry = pending_.front() + cfg_.maxWaitSeconds;
-            if (nextArrival_ <= expiry) {
-                t = nextArrival_;
-                admitOne();
-            } else {
-                t = expiry;
-                qm.launchWindow.add();
-                break;  // window expires before the next arrival
-            }
-        } else {
-            t = nextArrival_;
-            admitOne();
-        }
-    }
-
-    const int64_t batch = std::min<int64_t>(
-        cfg_.maxBatch, static_cast<int64_t>(pending_.size()));
-    ticket->seq = seq_++;
-    ticket->launchTime = t;
-    ticket->arrivals.clear();
-    ticket->arrivals.reserve(static_cast<size_t>(batch));
-    for (int64_t i = 0; i < batch; ++i) {
-        ticket->arrivals.push_back(pending_.front());
-        pending_.pop_front();
-    }
-
-    // Occupancy at launch: workers whose current batch is still in
-    // virtual service when this one starts, plus the caller. See
-    // busyAtLaunch() in batch_queue.h for the completion-tie
-    // convention.
-    const int busy =
-        busyAtLaunch(readyTime_, active_, static_cast<size_t>(wid), t);
-
-    const double svc = service(*ticket, busy);
-    RECSTACK_CHECK(svc > 0.0, "service time must be > 0");
-    readyTime_[static_cast<size_t>(wid)] = t + svc;
-    *completion = t + svc;
-    *busy_at_launch = busy;
-    qm.batches.add();
-    qm.samples.add(static_cast<uint64_t>(batch));
-    if (span.active()) {
-        span.arg("batch", batch);
-        span.arg("busy", busy);
-    }
+    Batcher::Reason reason = Batcher::Reason::kFull;
+    const Batcher::Step step = core_.walk(wid, service, ticket, completion,
+                                          busy_at_launch, &reason);
     cv_.notify_all();
-    return true;
-}
-
-int
-BatchQueue::busyAtLaunch(const std::vector<double>& ready_times,
-                         const std::vector<bool>& active, size_t wid,
-                         double t)
-{
-    int busy = 1;  // the caller
-    for (size_t v = 0; v < ready_times.size(); ++v) {
-        // Strict >: service occupies [launch, completion), so a worker
-        // completing exactly at t is idle at t (header contract).
-        if (v != wid && active[v] && ready_times[v] > t) {
-            ++busy;
-        }
+    if (step == Batcher::Step::kRetired) {
+        return false;
     }
-    return busy;
+    RECSTACK_CHECK(step == Batcher::Step::kLaunched,
+                   "a generated or recorded stream never stalls");
+    QueueMetrics& qm = QueueMetrics::get();
+    switch (reason) {
+    case Batcher::Reason::kFull:
+        qm.launchFull.add();
+        break;
+    case Batcher::Reason::kWindow:
+        qm.launchWindow.add();
+        break;
+    case Batcher::Reason::kDrain:
+        qm.launchDrain.add();
+        break;
+    }
+    qm.batches.add();
+    qm.samples.add(static_cast<uint64_t>(ticket->size()));
+    if (span.active()) {
+        span.arg("batch", ticket->size());
+        span.arg("busy", *busy_at_launch);
+    }
+    return true;
 }
 
 uint64_t
 BatchQueue::samplesArrived() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return arrived_;
+    return core_.admitted();
 }
 
 }  // namespace recstack

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "models/store_binding.h"
 #include "obs/metrics.h"
@@ -58,16 +57,29 @@ struct WorkerLocal {
     double slowdownSum = 0.0;
     double slowdownMax = 1.0;
     uint64_t samplesServed = 0;
+    /// Batches this worker serviced itself; slowdown factors are
+    /// summed over exactly these (deferred hand-offs do not count).
     uint64_t batchesServed = 0;
-    /// Batches this worker serviced itself (slowdown factors summed
-    /// over exactly these; == batchesServed outside heterogeneous
-    /// runs).
-    uint64_t cpuServicedBatches = 0;
-    /// Batches handed over to the GPU lane (heterogeneous runs only).
-    uint64_t deferredTickets = 0;
-    /// Batches handed over to the PIM lane (pimLaneEnabled runs only).
-    uint64_t pimDeferredTickets = 0;
+    /// Batches handed over to each lane (EngineConfig::lanes order).
+    std::vector<uint64_t> deferredTickets;
 };
+
+/** One accelerator lane of a run: its queue and routing terms. */
+struct Lane {
+    PlatformKind kind;
+    /// What a deferred batch costs the worker: the hand-off staging.
+    double handoffSeconds;
+    std::unique_ptr<GpuLane> queue;
+};
+
+/** Whether @c batch routes to a lane on a @c kind platform. */
+bool
+routesTo(const QueryScheduler& sched, PlatformKind kind, ModelId model,
+         int64_t batch)
+{
+    return kind == PlatformKind::kGpu ? sched.routesToGpu(model, batch)
+                                      : sched.routesToPim(model, batch);
+}
 
 }  // namespace
 
@@ -119,7 +131,6 @@ ServingNode::runImpl(const EngineConfig& config,
                    {"max_batch", config.maxBatch}});
 
     SweepCache* sweep = scheduler_->sweep();
-    const Platform& platform = sweep->platforms()[platformIdx_];
 
     // Warm every shared lazily-built structure before threads exist:
     // the built model, its compiled form, the characterization grid
@@ -137,75 +148,44 @@ ServingNode::runImpl(const EngineConfig& config,
         }
     }
     CompiledNet& compiled = *compiled_;
-    for (int64_t b : scheduler_->batchGrid()) {
-        scheduler_->latency(model_, platformIdx_, b);
-    }
-    int64_t ref_batch = scheduler_->batchGrid().front();
-    for (int64_t b : scheduler_->batchGrid()) {
-        if (b <= config.maxBatch) {
-            ref_batch = b;  // largest grid knot within the batch cap
-        }
-    }
-    std::vector<double> factors(static_cast<size_t>(config.numWorkers),
-                                1.0);
-    if (config.modelContention) {
-        factors = contentionSlowdowns(
-            sweep->get(model_, platformIdx_, ref_batch), platform,
-            config.numWorkers);
-    }
+    const CpuBatchPrice price(scheduler_, model_, platformIdx_,
+                              config.numWorkers, config.maxBatch,
+                              config.modelContention,
+                              config.remoteSecondsPerSample);
 
-    // Heterogeneous split (docs/scheduling.md): build the accelerator
-    // lane and prewarm the GPU platform's grid before threads exist,
-    // mirroring the CPU prewarm above. The lane is only touched under
-    // the queue lock (inside the ServiceFn) and after join (drain), so
-    // it is single-threaded by construction.
-    std::unique_ptr<GpuLane> lane;
-    double handoff_seconds = 0.0;
-    if (config.heterogeneous) {
-        RECSTACK_CHECK(config.gpuPlatformIdx < sweep->platforms().size(),
-                       "GPU platform index out of range");
-        const Platform& gpu = sweep->platforms()[config.gpuPlatformIdx];
-        RECSTACK_CHECK(gpu.kind == PlatformKind::kGpu,
-                       "heterogeneous serving needs a GPU platform");
-        for (int64_t b : scheduler_->batchGrid()) {
-            scheduler_->latency(model_, config.gpuPlatformIdx, b);
-        }
-        lane = std::make_unique<GpuLane>(
-            scheduler_, model_, config.gpuPlatformIdx, config.gpuLane);
-        // A deferred batch costs the worker only the hand-off staging;
-        // BatchQueue requires a strictly positive service time.
-        handoff_seconds = std::max(1e-9, gpu.gpu.hostDispatchSec);
-    }
-
-    // Near-memory lane (docs/pim.md): a second accumulation lane of
-    // the same GpuLane machinery — the lane prices batches through
+    // Accelerator lanes (docs/scheduling.md, docs/pim.md): build each
+    // lane and prewarm its platform's grid before threads exist,
+    // mirroring the CPU prewarm above. A lane prices batches through
     // QueryScheduler::latency, which dispatches on the platform kind,
-    // so the only PIM-specific parts are the platform index and the
-    // hand-off cost. Built and prewarmed exactly like the GPU lane.
-    std::unique_ptr<GpuLane> pim_lane;
-    double pim_handoff_seconds = 0.0;
-    if (config.pimLaneEnabled) {
-        RECSTACK_CHECK(config.pimPlatformIdx < sweep->platforms().size(),
-                       "PIM platform index out of range");
-        const Platform& pim = sweep->platforms()[config.pimPlatformIdx];
-        RECSTACK_CHECK(pim.kind == PlatformKind::kPim,
-                       "PIM lane needs a kPim platform");
+    // so GPU and PIM lanes differ only in routing threshold and
+    // hand-off cost. Lanes are only touched under the queue lock
+    // (inside the ServiceFn) and after join (drain), so they are
+    // single-threaded by construction.
+    std::vector<Lane> lanes;
+    for (const LaneConfig& lc : config.lanes) {
+        RECSTACK_CHECK(lc.platformIdx < sweep->platforms().size(),
+                       "lane platform index out of range");
+        const Platform& p = sweep->platforms()[lc.platformIdx];
+        RECSTACK_CHECK(p.kind != PlatformKind::kCpu,
+                       "a lane needs a GPU platform or a kPim platform");
         for (int64_t b : scheduler_->batchGrid()) {
-            scheduler_->latency(model_, config.pimPlatformIdx, b);
+            scheduler_->latency(model_, lc.platformIdx, b);
         }
-        pim_lane = std::make_unique<GpuLane>(
-            scheduler_, model_, config.pimPlatformIdx, config.pimLane);
-        pim_handoff_seconds = std::max(1e-9, pim.pim.hostDispatchSec);
+        // BatchQueue requires a strictly positive service time.
+        const double dispatch = p.kind == PlatformKind::kGpu
+                                    ? p.gpu.hostDispatchSec
+                                    : p.pim.hostDispatchSec;
+        lanes.push_back({p.kind, std::max(1e-9, dispatch),
+                         std::make_unique<GpuLane>(scheduler_, model_,
+                                                   lc.platformIdx,
+                                                   lc.batching)});
     }
 
     // One parameter store for the whole node run: workers bind
     // against it instead of each materializing every table. Built
     // before the worker threads exist, like the compiled net.
-    const bool use_store = config.sharedEmbeddingStore &&
-                           config.execMode != ExecMode::kProfileOnly &&
-                           !EmbeddingStore::disabledByEnv();
     std::unique_ptr<StoreBackedModel> store_model;
-    if (use_store) {
+    if (config.execMode != ExecMode::kProfileOnly) {
         store_model = std::make_unique<StoreBackedModel>(
             model, config.storeConfig);
     }
@@ -221,7 +201,7 @@ ServingNode::runImpl(const EngineConfig& config,
         qcfg.useArrivalTrace = true;
         qcfg.arrivalTrace = std::move(*trace);
     }
-    BatchQueue queue(qcfg);
+    BatchQueue queue(std::move(qcfg));
 
     std::vector<WorkerLocal> locals(
         static_cast<size_t>(config.numWorkers));
@@ -230,6 +210,7 @@ ServingNode::runImpl(const EngineConfig& config,
     for (int wid = 0; wid < config.numWorkers; ++wid) {
         threads.emplace_back([&, wid] {
             WorkerLocal& local = locals[static_cast<size_t>(wid)];
+            local.deferredTickets.assign(lanes.size(), 0);
             Workspace ws;
             Arena arena;
             BatchGenerator gen(
@@ -237,55 +218,36 @@ ServingNode::runImpl(const EngineConfig& config,
                 config.seed ^
                     (0x9e3779b97f4a7c15ull *
                      static_cast<uint64_t>(wid + 1)));
-            if (config.execMode == ExecMode::kProfileOnly) {
-                ws.setShapeOnly(true);
-                model.declareParams(ws);
-            } else if (store_model != nullptr) {
+            if (store_model != nullptr) {
                 store_model->bind(ws);
             } else {
-                model.initParams(ws);
+                ws.setShapeOnly(true);
+                model.declareParams(ws);
             }
 
             // Invoked under the queue lock (the memoized sweep is not
             // thread-safe); prices this batch's virtual service time.
-            // Batches at or above the GPU threshold hand over to the
+            // Batches meeting a lane's threshold hand over to the
             // lane here — still under the lock, in the queue's strict
             // virtual-time launch order (GpuLane's determinism
             // contract) — and cost the worker only the dispatch.
-            bool deferred = false;
-            bool deferred_to_pim = false;
+            size_t deferred_to = lanes.size();  // == size: not deferred
             const BatchQueue::ServiceFn service =
                 [&](const BatchTicket& ticket, int busy) {
-                    if (lane != nullptr &&
-                        scheduler_->routesToGpu(model_, ticket.size())) {
-                        lane->submit(ticket, ticket.launchTime);
-                        deferred = true;
-                        deferred_to_pim = false;
-                        return handoff_seconds;
+                    for (deferred_to = 0; deferred_to < lanes.size();
+                         ++deferred_to) {
+                        Lane& lane = lanes[deferred_to];
+                        if (routesTo(*scheduler_, lane.kind, model_,
+                                     ticket.size())) {
+                            lane.queue->submit(ticket, ticket.launchTime);
+                            return lane.handoffSeconds;
+                        }
                     }
-                    if (pim_lane != nullptr &&
-                        scheduler_->routesToPim(model_, ticket.size())) {
-                        pim_lane->submit(ticket, ticket.launchTime);
-                        deferred = true;
-                        deferred_to_pim = true;
-                        return pim_handoff_seconds;
-                    }
-                    deferred = false;
-                    const double base = scheduler_->latency(
-                        model_, platformIdx_, ticket.size());
-                    const int k =
-                        std::min(busy, config.numWorkers);
-                    const double factor =
-                        factors[static_cast<size_t>(k - 1)];
+                    const double factor = price.factor(busy);
                     local.slowdownSum += factor;
                     local.slowdownMax =
                         std::max(local.slowdownMax, factor);
-                    // Placement surcharge: remote-row fetches cross
-                    // the network, not the shared socket, so they add
-                    // after the contention stretch.
-                    return base * factor +
-                           static_cast<double>(ticket.size()) *
-                               config.remoteSecondsPerSample;
+                    return price.seconds(ticket.size(), factor);
                 };
 
             BatchTicket ticket;
@@ -296,17 +258,13 @@ ServingNode::runImpl(const EngineConfig& config,
             while (queue.acquire(wid, service, &ticket, &completion,
                                  &busy)) {
                 const int64_t batch = ticket.size();
-                if (deferred) {
+                local.busySeconds += completion - ticket.launchTime;
+                local.lastCompletion =
+                    std::max(local.lastCompletion, completion);
+                if (deferred_to < lanes.size()) {
                     // The samples belong to the lane now; the worker
                     // accounted only the hand-off and moves on.
-                    local.busySeconds += completion - ticket.launchTime;
-                    local.lastCompletion =
-                        std::max(local.lastCompletion, completion);
-                    if (deferred_to_pim) {
-                        ++local.pimDeferredTickets;
-                    } else {
-                        ++local.deferredTickets;
-                    }
+                    ++local.deferredTickets[deferred_to];
                     continue;
                 }
                 // Real execution of the served net on this worker's
@@ -325,13 +283,9 @@ ServingNode::runImpl(const EngineConfig& config,
                     compiled, ws, arena, batch, exec_opts);
                 local.hostSeconds += exec.hostSeconds;
 
-                local.busySeconds += completion - ticket.launchTime;
-                local.lastCompletion =
-                    std::max(local.lastCompletion, completion);
                 local.samplesServed +=
                     static_cast<uint64_t>(batch);
                 ++local.batchesServed;
-                ++local.cpuServicedBatches;
                 queries.add(static_cast<uint64_t>(batch));
                 for (double arrival : ticket.arrivals) {
                     local.latencies.push_back(completion - arrival);
@@ -344,171 +298,96 @@ ServingNode::runImpl(const EngineConfig& config,
         t.join();
     }
 
-    if (lane != nullptr) {
-        // Stream over: flush the lane and fold its served queries into
-        // the same obs surface the workers feed (the hill-climbing
-        // tuner reads the p99 of this histogram).
-        lane->drain();
-        obs::LatencyHistogram& lat_hist = queryLatencyHistogram();
-        obs::Counter& queries = queriesCounter();
-        queries.add(lane->samplesServed());
-        for (double lat : lane->latencies()) {
-            lat_hist.record(lat);
-        }
-    }
-    if (pim_lane != nullptr) {
-        // Same flush for the PIM lane: its tail feeds the one
-        // histogram the hill-climbing tuner reads, so the PIM
-        // threshold tunes against the same p99 SLA as the GPU split.
-        pim_lane->drain();
-        obs::LatencyHistogram& lat_hist = queryLatencyHistogram();
-        obs::Counter& queries = queriesCounter();
-        queries.add(pim_lane->samplesServed());
-        for (double lat : pim_lane->latencies()) {
-            lat_hist.record(lat);
-        }
-        obs::MetricsRegistry::global()
-            .counter("pim.lane_samples")
-            .add(pim_lane->samplesServed());
-    }
-
+    // Stream over: flush each lane and fold its served queries into
+    // the same obs surface the workers feed (the hill-climbing tuner
+    // reads the p99 of this histogram, so lane thresholds tune
+    // against the same SLA as the CPU pool).
     double horizon = config.simSeconds;
     for (const WorkerLocal& local : locals) {
         horizon = std::max(horizon, local.lastCompletion);
     }
-    if (lane != nullptr) {
-        horizon = std::max(horizon, lane->lastCompletion());
-    }
-    if (pim_lane != nullptr) {
-        horizon = std::max(horizon, pim_lane->lastCompletion());
+    for (Lane& lane : lanes) {
+        lane.queue->drain();
+        queriesCounter().add(lane.queue->samplesServed());
+        for (double lat : lane.queue->latencies()) {
+            queryLatencyHistogram().record(lat);
+        }
+        if (lane.kind == PlatformKind::kPim) {
+            obs::MetricsRegistry::global()
+                .counter("pim.lane_samples")
+                .add(lane.queue->samplesServed());
+        }
+        horizon = std::max(horizon, lane.queue->lastCompletion());
     }
 
     EngineResult result;
     result.perWorker.resize(locals.size());
     std::vector<double> all_latencies;
+    uint64_t total_samples = 0;
+    uint64_t total_batches = 0;
     double total_busy = 0.0;
+    double slow_sum = 0.0;
+    // One server's view (a worker or a lane), pooled into the aggregate
+    // in worker-then-lane order.
+    const auto fold = [&](uint64_t samples, uint64_t batches,
+                          double busy, std::vector<double> latencies,
+                          ServingStats* stats) {
+        stats->samplesArrived = samples;
+        fillLoadStats(samples, batches, busy, 1.0, horizon,
+                      config.simSeconds, stats);
+        all_latencies.insert(all_latencies.end(), latencies.begin(),
+                             latencies.end());
+        fillLatencyStats(latencies, stats);
+        total_samples += samples;
+        total_batches += batches;
+        total_busy += busy;
+    };
     for (size_t w = 0; w < locals.size(); ++w) {
         WorkerLocal& local = locals[w];
-        ServingStats& ws_stats = result.perWorker[w];
-        ws_stats.samplesArrived = local.samplesServed;
-        ws_stats.samplesServed = local.samplesServed;
-        ws_stats.batchesServed = local.batchesServed;
-        ws_stats.meanBatch =
-            local.batchesServed > 0
-                ? static_cast<double>(local.samplesServed) /
-                      static_cast<double>(local.batchesServed)
-                : 0.0;
-        ws_stats.utilization =
-            std::min(1.0, local.busySeconds / horizon);
-        ws_stats.offeredLoad = local.busySeconds / config.simSeconds;
-        ws_stats.throughputQps =
-            static_cast<double>(local.samplesServed) / horizon;
-        all_latencies.insert(all_latencies.end(),
-                             local.latencies.begin(),
-                             local.latencies.end());
-        fillLatencyStats(local.latencies, &ws_stats);
-
-        result.aggregate.samplesServed += local.samplesServed;
-        result.aggregate.batchesServed += local.batchesServed;
+        fold(local.samplesServed, local.batchesServed, local.busySeconds,
+             std::move(local.latencies), &result.perWorker[w]);
         result.hostSeconds += local.hostSeconds;
         result.batchesExecuted += local.batchesServed;
-        total_busy += local.busySeconds;
-        result.deferredTickets += local.deferredTickets;
-        result.pimDeferredTickets += local.pimDeferredTickets;
+        slow_sum += local.slowdownSum;
+        result.maxSlowdown =
+            std::max(result.maxSlowdown, local.slowdownMax);
+    }
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        const Lane& lane = lanes[i];
+        LaneResult lr;
+        lr.threshold = lane.kind == PlatformKind::kGpu
+                           ? scheduler_->gpuThreshold(model_)
+                           : scheduler_->pimThreshold(model_);
+        for (const WorkerLocal& local : locals) {
+            lr.deferredTickets += local.deferredTickets[i];
+        }
+        fold(lane.queue->samplesServed(), lane.queue->batchesServed(),
+             lane.queue->busySeconds(), lane.queue->latencies(),
+             &lr.stats);
+        result.lanes.push_back(lr);
     }
 
-    if (lane != nullptr) {
-        result.heterogeneous = true;
-        result.gpuThreshold = scheduler_->gpuThreshold(model_);
-        ServingStats& g = result.gpuLaneStats;
-        g.samplesArrived = lane->samplesServed();
-        g.samplesServed = lane->samplesServed();
-        g.batchesServed = lane->batchesServed();
-        g.meanBatch =
-            g.batchesServed > 0
-                ? static_cast<double>(g.samplesServed) /
-                      static_cast<double>(g.batchesServed)
-                : 0.0;
-        g.utilization = std::min(1.0, lane->busySeconds() / horizon);
-        g.offeredLoad = lane->busySeconds() / config.simSeconds;
-        g.throughputQps =
-            static_cast<double>(g.samplesServed) / horizon;
-        std::vector<double> lane_latencies = lane->latencies();
-        all_latencies.insert(all_latencies.end(),
-                             lane_latencies.begin(),
-                             lane_latencies.end());
-        fillLatencyStats(lane_latencies, &g);
-
-        // The aggregate spans both sides of the split; utilization /
-        // offeredLoad below divide by numWorkers + 1 servers.
-        result.aggregate.samplesServed += g.samplesServed;
-        result.aggregate.batchesServed += g.batchesServed;
-        total_busy += lane->busySeconds();
-    }
-
-    if (pim_lane != nullptr) {
-        result.pimEnabled = true;
-        result.pimThreshold = scheduler_->pimThreshold(model_);
-        ServingStats& p = result.pimLaneStats;
-        p.samplesArrived = pim_lane->samplesServed();
-        p.samplesServed = pim_lane->samplesServed();
-        p.batchesServed = pim_lane->batchesServed();
-        p.meanBatch =
-            p.batchesServed > 0
-                ? static_cast<double>(p.samplesServed) /
-                      static_cast<double>(p.batchesServed)
-                : 0.0;
-        p.utilization =
-            std::min(1.0, pim_lane->busySeconds() / horizon);
-        p.offeredLoad = pim_lane->busySeconds() / config.simSeconds;
-        p.throughputQps =
-            static_cast<double>(p.samplesServed) / horizon;
-        std::vector<double> pim_latencies = pim_lane->latencies();
-        all_latencies.insert(all_latencies.end(),
-                             pim_latencies.begin(),
-                             pim_latencies.end());
-        fillLatencyStats(pim_latencies, &p);
-
-        result.aggregate.samplesServed += p.samplesServed;
-        result.aggregate.batchesServed += p.batchesServed;
-        total_busy += pim_lane->busySeconds();
-    }
-
+    // Each lane counts as one more server.
     result.aggregate.samplesArrived = queue.samplesArrived();
-    result.aggregate.meanBatch =
-        result.aggregate.batchesServed > 0
-            ? static_cast<double>(result.aggregate.samplesServed) /
-                  static_cast<double>(result.aggregate.batchesServed)
-            : 0.0;
-    const double capacity = static_cast<double>(config.numWorkers) +
-                            (lane != nullptr ? 1.0 : 0.0) +
-                            (pim_lane != nullptr ? 1.0 : 0.0);
-    result.aggregate.utilization =
-        std::min(1.0, total_busy / (capacity * horizon));
-    result.aggregate.offeredLoad =
-        total_busy / (capacity * config.simSeconds);
-    result.aggregate.throughputQps =
-        static_cast<double>(result.aggregate.samplesServed) / horizon;
+    fillLoadStats(total_samples, total_batches, total_busy,
+                  static_cast<double>(config.numWorkers) +
+                      static_cast<double>(lanes.size()),
+                  horizon, config.simSeconds, &result.aggregate);
     fillLatencyStats(all_latencies, &result.aggregate);
 
     result.intraOpThreads =
         config.numThreads > 0 ? config.numThreads : intraOpThreads();
     // Table-memory accounting: the shared store keeps one backing
-    // copy plus the hot-row caches resident; legacy numeric mode kept
-    // a full copy inside every worker's workspace.
+    // copy plus the hot-row caches resident, against the workers x
+    // one copy that private dense tables would hold.
     result.tableBytesOneCopy = modelEmbeddingBytes(model);
-    if (config.execMode != ExecMode::kProfileOnly) {
+    if (store_model != nullptr) {
         result.perWorkerTableBytes =
             result.tableBytesOneCopy *
             static_cast<uint64_t>(config.numWorkers);
-        if (store_model != nullptr) {
-            result.storeShared = true;
-            result.residentTableBytes = store_model->residentBytes();
-            result.storeStats = store_model->store().stats();
-            exportStoreStats(result.storeStats);
-        } else {
-            result.residentTableBytes = result.perWorkerTableBytes;
-        }
+        result.residentTableBytes = store_model->residentBytes();
+        result.storeStats = store_model->store().stats();
+        exportStoreStats(result.storeStats);
     }
     if (result.batchesExecuted > 0) {
         result.hostSecondsPerBatch =
@@ -516,20 +395,11 @@ ServingNode::runImpl(const EngineConfig& config,
             static_cast<double>(result.batchesExecuted);
     }
     // Slowdown factors were summed over CPU-serviced batches only
-    // (deferred hand-offs and the GPU lane see no socket contention),
-    // so average over exactly those. Outside heterogeneous runs the
-    // count equals aggregate.batchesServed, as before.
-    uint64_t cpu_batches = 0;
-    double slow_sum = 0.0;
-    for (const WorkerLocal& local : locals) {
-        cpu_batches += local.cpuServicedBatches;
-        slow_sum += local.slowdownSum;
-        result.maxSlowdown =
-            std::max(result.maxSlowdown, local.slowdownMax);
-    }
-    if (cpu_batches > 0) {
+    // (deferred hand-offs and the lanes see no socket contention), so
+    // average over exactly those.
+    if (result.batchesExecuted > 0) {
         result.meanSlowdown =
-            slow_sum / static_cast<double>(cpu_batches);
+            slow_sum / static_cast<double>(result.batchesExecuted);
     }
     return result;
 }

@@ -7,24 +7,24 @@
  *
  * A node owns everything one machine contributes to a serving fleet:
  * a pool of worker threads, the dynamic-batching BatchQueue in front
- * of them, an optional heterogeneous GPU lane, and (in real-numerics
- * modes) a shared placement-aware view of the embedding parameter
- * store. ServingEngine (serve/serving_engine.h) is now a thin wrapper
- * that runs a single node against its own Poisson arrival stream —
- * the historical single-machine experiment — while the fleet
- * simulator (src/fleet/) composes M nodes behind a router and drives
- * each with the routed sub-stream via runTrace().
+ * of them, optional accelerator lanes (GPU, PIM), and (in
+ * real-numerics modes) one shared view of the embedding parameter
+ * store. run() serves the node's own Poisson arrival stream — the
+ * single-machine experiment — while the fleet simulator (src/fleet/)
+ * composes M nodes behind a router and replays a node's routed
+ * sub-stream via runTrace().
  *
- * Behavior is the multi-worker engine's, unchanged (see the original
- * file comment there): latency accounting is virtual (the
- * QueryScheduler's characterization-grid oracle stretched by the
- * socket co-location model), execution per batch is real
+ * Latency accounting is virtual: each batch's service time comes from
+ * the QueryScheduler's characterization-grid oracle, stretched by the
+ * multicore co-location model (serve/contention.h) according to how
+ * many workers are busy at launch. Execution per batch is real
  * (Executor::run on the served net), and stats are a deterministic
- * function of the config. A node additionally prices *placement*: in
- * a fleet whose embedding rows are range-partitioned across nodes,
- * lookups for rows this node does not hold pay a remote-fetch
- * surcharge (EngineConfig::remoteSecondsPerSample), folded into each
- * CPU-serviced batch's virtual service time.
+ * function of the config: the queue releases batches in virtual-time
+ * order, never in OS thread order. A node additionally prices
+ * *placement*: in a fleet whose embedding rows are range-partitioned
+ * across nodes, lookups for rows this node does not hold pay a
+ * remote-fetch surcharge (EngineConfig::remoteSecondsPerSample),
+ * folded into each CPU-serviced batch's virtual service time.
  */
 
 #include <cstdint>
@@ -33,13 +33,29 @@
 #include <vector>
 
 #include "graph/executor.h"
-#include "sched/serving_sim.h"
 #include "serve/gpu_lane.h"
+#include "serve/serving_stats.h"
 #include "store/embedding_store.h"
 
 namespace recstack {
 
-/** One serving run on a node (or on the single-node engine). */
+/**
+ * One accelerator lane of a node (docs/scheduling.md, docs/pim.md).
+ * Dynamic batches at or above the scheduler's per-model threshold for
+ * the lane's platform kind (QueryScheduler::gpuThreshold for kGpu,
+ * pimThreshold for kPim) are not serviced on the CPU worker: the
+ * worker pays only the platform's host dispatch cost and the samples
+ * defer to a GpuLane accumulation queue priced by the platform's
+ * characterization, on the same virtual clock.
+ */
+struct LaneConfig {
+    /// Index of a kGpu or kPim platform in the scheduler's sweep.
+    size_t platformIdx = 3;
+    /// Accumulation knobs of the lane.
+    GpuLaneConfig batching;
+};
+
+/** One serving run on a node. */
 struct EngineConfig {
     int numWorkers = 1;            ///< inference worker threads
     double arrivalQps = 1000.0;    ///< mean sample arrival rate
@@ -48,9 +64,10 @@ struct EngineConfig {
     double simSeconds = 2.0;       ///< arrival-stream duration
     uint64_t seed = 42;
     /// How workers execute the net per batch: kNumericOnly runs real
-    /// numerics (weights materialized per worker — tests, small
-    /// models); kProfileOnly runs shape inference only (full-size
-    /// models, high load). kFull additionally lowers profiles.
+    /// numerics (tables served from one shared EmbeddingStore, dense
+    /// weights per worker — tests, small models); kProfileOnly runs
+    /// shape inference only (full-size models, high load). kFull
+    /// additionally lowers profiles.
     ExecMode execMode = ExecMode::kProfileOnly;
     /// Couple service times to the shared-L3/DRAM contention model.
     bool modelContention = true;
@@ -61,16 +78,8 @@ struct EngineConfig {
     /// default (RECSTACK_NUM_THREADS). Numerics are bit-identical at
     /// any width, so this only moves EngineResult::hostSeconds.
     int numThreads = 1;
-    /// Share one sharded EmbeddingStore across all workers when
-    /// running real numerics: workers bind shape-only table blobs
-    /// against it instead of materializing a private copy of every
-    /// table, cutting resident table bytes from O(workers) copies to
-    /// O(1 copy + cache). Numerics stay bit-identical. Ignored in
-    /// kProfileOnly (no table payloads exist there), and the env
-    /// hatch RECSTACK_DISABLE_STORE=1 forces the legacy per-worker
-    /// copies regardless.
-    bool sharedEmbeddingStore = true;
-    /// Shard / cache / tier knobs of the shared store.
+    /// Shard / cache / tier knobs of the shared store (real-numerics
+    /// modes only).
     StoreConfig storeConfig;
     /// Turn span tracing on for the duration of this run (restoring
     /// the previous setting afterwards), so the run can be exported
@@ -78,46 +87,38 @@ struct EngineConfig {
     /// See docs/observability.md; the buffer is bounded, so long runs
     /// keep the oldest spans and count the rest in dropped().
     bool captureTrace = false;
-    /// Heterogeneous serving (DeepRecSys loop, docs/scheduling.md):
-    /// dynamic batches at or above the scheduler's per-model GPU
-    /// threshold (QueryScheduler::gpuThreshold) are not serviced on
-    /// the CPU worker — the worker pays only the host dispatch cost
-    /// and the samples defer to a GpuLane accumulation queue priced
-    /// by the GPU platform's characterization (GpuModel::simulateNet
-    /// through the sweep), on the same virtual clock. Off by default:
-    /// single-platform runs are bit-identical to the legacy engine.
-    bool heterogeneous = false;
-    /// Index of a kGpu platform in the scheduler's sweep (checked
-    /// when heterogeneous is set).
-    size_t gpuPlatformIdx = 3;
-    /// Accumulation knobs of the GPU lane.
-    GpuLaneConfig gpuLane;
-    /// Near-memory lane (docs/pim.md): batches at or above the
-    /// scheduler's per-model PIM threshold
-    /// (QueryScheduler::pimThreshold) defer to a second accumulation
-    /// lane priced by a kPim platform's characterization. Independent
-    /// of the GPU split (both lanes can be on; the GPU threshold is
-    /// checked first). Off by default: runs without the lane are
-    /// bit-identical to the pre-PIM engine.
-    bool pimLaneEnabled = false;
-    /// Index of a kPim platform in the scheduler's sweep (checked
-    /// when pimLaneEnabled is set).
-    size_t pimPlatformIdx = 4;
-    /// Accumulation knobs of the PIM lane.
-    GpuLaneConfig pimLane;
+    /// Accelerator lanes in routing priority: a batch defers to the
+    /// first lane whose threshold it meets. Empty (default): every
+    /// batch is serviced on the CPU workers.
+    std::vector<LaneConfig> lanes;
     /// Placement surcharge (docs/fleet.md): extra virtual seconds per
     /// sample added to every CPU-serviced batch's service time,
     /// pricing embedding rows this node must fetch from a peer
     /// because its placement holds only part of each table
     /// (row-range-partitioned fleets). Not inflated by the socket
     /// contention factor — remote fetches cross the network, not the
-    /// shared L3/DRAM. 0.0 (default) = every row is local, the
-    /// single-node behavior, bit-identical to the legacy engine.
+    /// shared L3/DRAM. 0.0 (default) = every row is local.
     double remoteSecondsPerSample = 0.0;
 };
 
-/** Result of one node (or engine) run. */
+/** One accelerator lane's view of a run. */
+struct LaneResult {
+    /// The lane's own serving view: samples/batches it served, its
+    /// mean accumulated batch, device utilization, and the latency
+    /// tail of lane-served samples.
+    ServingStats stats;
+    /// Dynamic batches the CPU workers handed over to the lane.
+    uint64_t deferredTickets = 0;
+    /// The per-model threshold the run routed with
+    /// (QueryScheduler::kNoGpuThreshold / kNoPimThreshold when none
+    /// was set).
+    int64_t threshold = 0;
+};
+
+/** Result of one node run. */
 struct EngineResult {
+    /// Stats over every served sample. With lanes, utilization /
+    /// offeredLoad count each lane as one more server.
     ServingStats aggregate;
     std::vector<ServingStats> perWorker;
     /// Mean / max service-time inflation applied across batches
@@ -136,53 +137,26 @@ struct EngineResult {
     double hostSecondsPerBatch = 0.0;
     /// Resolved intra-op width the workers used.
     int intraOpThreads = 1;
-    /// True when workers served table lookups from one shared
-    /// EmbeddingStore instead of private per-worker copies.
-    bool storeShared = false;
     /// Embedding-table bytes of one dense copy of the served model.
     uint64_t tableBytesOneCopy = 0;
-    /// Table bytes resident across the engine at the end of the run:
-    /// shared-store mode = one backing copy + hot-row caches; legacy
-    /// numeric mode = workers x one copy; 0 in kProfileOnly.
+    /// Table bytes resident across the node at the end of the run:
+    /// one backing copy + hot-row caches; 0 in kProfileOnly.
     uint64_t residentTableBytes = 0;
     /// What per-worker dense copies would have kept resident
     /// (workers x one copy) — the baseline the shared store saves
     /// against. 0 in kProfileOnly.
     uint64_t perWorkerTableBytes = 0;
     /// Shard-aggregated store counters for this run (hit/miss/tier
-    /// traffic and modeled fetch seconds); empty when !storeShared.
+    /// traffic and modeled fetch seconds); empty in kProfileOnly.
     /// Like hostSeconds, these are host-side measurement, not
     /// virtual-time state: hit/miss splits depend on the order in
     /// which concurrent workers touch the shared caches.
     StoreStats storeStats;
-    /// True when this run served through the CPU/GPU split. The
-    /// fields below are only populated then; aggregate combines both
-    /// sides (its utilization/offeredLoad are over numWorkers + 1
-    /// servers).
-    bool heterogeneous = false;
-    /// The accelerator lane's own serving view: samples/batches it
-    /// served, its mean accumulated batch, device utilization, and
-    /// the latency tail of GPU-served samples.
-    ServingStats gpuLaneStats;
-    /// Dynamic batches the CPU workers handed over to the lane.
-    uint64_t deferredTickets = 0;
-    /// The per-model threshold the run routed with
-    /// (QueryScheduler::kNoGpuThreshold when none was set).
-    int64_t gpuThreshold = 0;
-    /// True when this run served through the PIM lane. The fields
-    /// below are only populated then; the aggregate's
-    /// utilization/offeredLoad count the lane as one more server.
-    bool pimEnabled = false;
-    /// The PIM lane's own serving view (mirror of gpuLaneStats).
-    ServingStats pimLaneStats;
-    /// Dynamic batches the CPU workers handed over to the PIM lane.
-    uint64_t pimDeferredTickets = 0;
-    /// The per-model PIM threshold the run routed with
-    /// (QueryScheduler::kNoPimThreshold when none was set).
-    int64_t pimThreshold = 0;
+    /// One entry per configured lane, in EngineConfig::lanes order.
+    std::vector<LaneResult> lanes;
 };
 
-/** One inference machine: workers + batch queue + optional GPU lane. */
+/** One inference machine: workers + batch queue + accelerator lanes. */
 class ServingNode
 {
   public:
@@ -195,7 +169,7 @@ class ServingNode
     ServingNode(QueryScheduler* scheduler, ModelId model,
                 size_t platform_idx);
 
-    /** Serve a self-generated Poisson stream (the engine's classic run). */
+    /** Serve a self-generated Poisson stream. */
     EngineResult run(const EngineConfig& config);
 
     /**

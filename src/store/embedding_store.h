@@ -15,7 +15,7 @@
  *  - All embedding tables of a model live in one store, row-partitioned
  *    across N shards. Each shard has its own mutex, hot-row cache
  *    (store/row_cache.h, LRU or CLOCK, byte-capacity bound) and
- *    counters, so concurrent ServingEngine workers contend only on
+ *    counters, so concurrent ServingNode workers contend only on
  *    rows that hash to the same shard.
  *  - Backing rows are split into a near tier (resident, DRAM-like) and
  *    a far tier. The far tier comes in two kinds
@@ -42,9 +42,8 @@
  *    prefetch), overlapping far-tier fetches with current-batch
  *    compute. Indices are deduplicated per task before queueing.
  *
- * Env hatches: RECSTACK_DISABLE_STORE=1 makes every integration point
- * (ServingEngine, CLI) fall back to per-worker dense table copies;
- * RECSTACK_DISABLE_DISK_TIER=1 forces farTier back to kSimulated; and
+ * Env hatches: RECSTACK_DISABLE_DISK_TIER=1 forces farTier back to
+ * kSimulated; and
  * RECSTACK_STORE_DIR picks the page-file directory (default: a fresh
  * temp dir removed with the store).
  */
@@ -320,8 +319,6 @@ class EmbeddingStore
      *  when inactive. */
     const DiskTier* diskTier() const { return diskTier_.get(); }
 
-    /** True when RECSTACK_DISABLE_STORE is set to a non-zero value. */
-    static bool disabledByEnv();
     /** True when RECSTACK_DISABLE_DISK_TIER is set to non-zero. */
     static bool diskTierDisabledByEnv();
 

@@ -3,7 +3,7 @@
  * CompiledNet planner tests: fusion-pass structure, liveness/arena
  * invariants (aliased buffers never live together; planned bytes
  * never exceed the naive per-blob sum), profile equivalence with the
- * interpreted executor, the RECSTACK_DISABLE_PLANNING escape hatch,
+ * interpreted executor, the planMemory = false escape hatch,
  * and workspace safety when interpreted runs follow compiled ones.
  */
 
@@ -192,9 +192,9 @@ TEST(CompiledNetPlan, PlansAreMemoizedPerBatch)
 TEST(CompiledNetPlan, DisablePlanningEnvHatch)
 {
     const Model model = buildModel(ModelId::kNCF, testOptions());
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_PLANNING", "1", 1), 0);
-    const auto hatched = CompiledNet::compile(model.net);
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_PLANNING"), 0);
+    CompileOptions opts;
+    opts.planMemory = false;
+    const auto hatched = CompiledNet::compile(model.net, opts);
     EXPECT_FALSE(hatched->planningEnabled());
 
     Workspace ws;

@@ -17,7 +17,6 @@
 #include "fleet/fleet_sim.h"
 #include "fleet/placement.h"
 #include "fleet/router.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 
 namespace recstack {
@@ -314,7 +313,7 @@ TEST_F(FleetSimTest, SingleNodeRoundRobinMatchesServingEngineExactly)
     // The fleet's constant-envelope arrival clock is bit-identical to
     // the PoissonProcess the single-node engine draws from, and a
     // 1-node fleet routes everything to node 0 — so the analytic twin
-    // must reproduce ServingEngine::run to the last bit.
+    // must reproduce ServingNode::run to the last bit.
     const double kQps = 6000;
     FleetConfig fcfg = fleetConfig(1, RoutePolicy::kRoundRobin);
     TrafficConfig traffic = trafficConfig(kQps);
@@ -322,7 +321,7 @@ TEST_F(FleetSimTest, SingleNodeRoundRobinMatchesServingEngineExactly)
     FleetSimulator fleet(&sched_, ModelId::kRM1, 0);
     const FleetResult fleet_result = fleet.simulate(fcfg, traffic);
 
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig ecfg;
     ecfg.numWorkers = fcfg.workersPerNode;
     ecfg.arrivalQps = kQps;
@@ -359,54 +358,62 @@ TEST_F(FleetSimTest, CapturedTracesReplayExactlyThroughServingNode)
     // trace mode, must reproduce the twin's per-node stats exactly —
     // same admission rules, same contention factors, same placement
     // surcharge, same fp expression order.
-    FleetConfig fcfg = fleetConfig(3, RoutePolicy::kPowerOfTwo);
-    fcfg.captureTraces = true;
-    fcfg.placement.kind = PlacementKind::kRowPartitioned;
-    fcfg.placement.replicationFactor = 1;
-    TrafficConfig traffic = trafficConfig(9000);
+    //
+    // Traffic seeds 9-30 pin the drain rule: a node whose last routed
+    // arrival comes early must drain at once, as the real queue does,
+    // not launch its last batch at window expiry.
+    for (const uint64_t seed : {9u, 12u, 15u, 18u, 30u, 42u}) {
+        SCOPED_TRACE("traffic seed " + std::to_string(seed));
+        FleetConfig fcfg = fleetConfig(3, RoutePolicy::kPowerOfTwo);
+        fcfg.captureTraces = true;
+        fcfg.placement.kind = PlacementKind::kRowPartitioned;
+        fcfg.placement.replicationFactor = 1;
+        TrafficConfig traffic = trafficConfig(9000);
+        traffic.seed = seed;
 
-    FleetSimulator fleet(&sched_, ModelId::kRM1, 0);
-    const FleetResult result = fleet.simulate(fcfg, traffic);
-    ASSERT_GT(result.remoteSecondsPerSample, 0.0);
+        FleetSimulator fleet(&sched_, ModelId::kRM1, 0);
+        const FleetResult result = fleet.simulate(fcfg, traffic);
+        ASSERT_GT(result.remoteSecondsPerSample, 0.0);
 
-    for (size_t n = 0; n < result.perNode.size(); ++n) {
-        const FleetNodeResult& twin = result.perNode[n];
-        ServingNode node(&sched_, ModelId::kRM1, 0);
-        EngineConfig ecfg;
-        ecfg.numWorkers = fcfg.workersPerNode;
-        ecfg.arrivalQps = traffic.baseQps;  // unused in trace mode
-        ecfg.maxBatch = fcfg.maxBatch;
-        ecfg.maxWaitSeconds = fcfg.maxWaitSeconds;
-        ecfg.simSeconds = fcfg.simSeconds;
-        ecfg.seed = traffic.seed;
-        ecfg.remoteSecondsPerSample = result.remoteSecondsPerSample;
-        const EngineResult replay =
-            node.runTrace(ecfg, twin.arrivalTrace);
+        for (size_t n = 0; n < result.perNode.size(); ++n) {
+            const FleetNodeResult& twin = result.perNode[n];
+            ServingNode node(&sched_, ModelId::kRM1, 0);
+            EngineConfig ecfg;
+            ecfg.numWorkers = fcfg.workersPerNode;
+            ecfg.arrivalQps = traffic.baseQps;  // unused in trace mode
+            ecfg.maxBatch = fcfg.maxBatch;
+            ecfg.maxWaitSeconds = fcfg.maxWaitSeconds;
+            ecfg.simSeconds = fcfg.simSeconds;
+            ecfg.seed = traffic.seed;
+            ecfg.remoteSecondsPerSample = result.remoteSecondsPerSample;
+            const EngineResult replay =
+                node.runTrace(ecfg, twin.arrivalTrace);
 
-        EXPECT_EQ(replay.aggregate.samplesArrived,
-                  twin.stats.samplesArrived)
-            << "node " << n;
-        EXPECT_EQ(replay.aggregate.samplesServed,
-                  twin.stats.samplesServed)
-            << "node " << n;
-        EXPECT_EQ(replay.aggregate.batchesServed,
-                  twin.stats.batchesServed)
-            << "node " << n;
-        EXPECT_DOUBLE_EQ(replay.aggregate.meanLatency,
-                         twin.stats.meanLatency)
-            << "node " << n;
-        EXPECT_DOUBLE_EQ(replay.aggregate.p50Latency,
-                         twin.stats.p50Latency)
-            << "node " << n;
-        EXPECT_DOUBLE_EQ(replay.aggregate.p99Latency,
-                         twin.stats.p99Latency)
-            << "node " << n;
-        EXPECT_DOUBLE_EQ(replay.aggregate.utilization,
-                         twin.stats.utilization)
-            << "node " << n;
-        EXPECT_DOUBLE_EQ(replay.aggregate.meanBatch,
-                         twin.stats.meanBatch)
-            << "node " << n;
+            EXPECT_EQ(replay.aggregate.samplesArrived,
+                      twin.stats.samplesArrived)
+                << "node " << n;
+            EXPECT_EQ(replay.aggregate.samplesServed,
+                      twin.stats.samplesServed)
+                << "node " << n;
+            EXPECT_EQ(replay.aggregate.batchesServed,
+                      twin.stats.batchesServed)
+                << "node " << n;
+            EXPECT_DOUBLE_EQ(replay.aggregate.meanLatency,
+                             twin.stats.meanLatency)
+                << "node " << n;
+            EXPECT_DOUBLE_EQ(replay.aggregate.p50Latency,
+                             twin.stats.p50Latency)
+                << "node " << n;
+            EXPECT_DOUBLE_EQ(replay.aggregate.p99Latency,
+                             twin.stats.p99Latency)
+                << "node " << n;
+            EXPECT_DOUBLE_EQ(replay.aggregate.utilization,
+                             twin.stats.utilization)
+                << "node " << n;
+            EXPECT_DOUBLE_EQ(replay.aggregate.meanBatch,
+                             twin.stats.meanBatch)
+                << "node " << n;
+        }
     }
 }
 

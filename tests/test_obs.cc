@@ -29,7 +29,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -679,7 +679,7 @@ class ObsServingTest : public ::testing::Test
 
     EngineResult run(ModelId model, ExecMode mode, bool capture_trace)
     {
-        ServingEngine engine(&sched_, model, 0);
+        ServingNode engine(&sched_, model, 0);
         EngineConfig cfg;
         cfg.numWorkers = 4;
         cfg.arrivalQps = 2000.0;
@@ -725,14 +725,10 @@ TEST_F(ObsServingTest, LatencyHistogramMatchesExactStats)
 
 TEST_F(ObsServingTest, StoreCountersReExportThroughRegistry)
 {
-    if (EmbeddingStore::disabledByEnv()) {
-        GTEST_SKIP() << "RECSTACK_DISABLE_STORE set";
-    }
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     registry.reset();
     const EngineResult result =
         run(ModelId::kNCF, ExecMode::kNumericOnly, false);
-    ASSERT_TRUE(result.storeShared);
     ASSERT_GT(result.storeStats.total.lookups, 0u);
 
     const obs::MetricsSnapshot snap = registry.snapshot();
@@ -770,9 +766,7 @@ TEST_F(ObsServingTest, CaptureTraceRecordsSpansAndRestoresFlag)
     EXPECT_TRUE(cats.count("engine"));
     EXPECT_TRUE(cats.count("executor"));
     EXPECT_TRUE(cats.count("op"));
-    if (!EmbeddingStore::disabledByEnv()) {
-        EXPECT_TRUE(cats.count("store"));
-    }
+    EXPECT_TRUE(cats.count("store"));
     EXPECT_GE(tids.size(), 2u) << "spans from at least 2 workers";
     buffer.clear();
 }
@@ -838,9 +832,7 @@ TEST(ObsCli, TraceExportFromRealServingRunIsWellFormed)
     // worker threads (the issue's acceptance criteria).
     EXPECT_TRUE(cats.count("queue"));
     EXPECT_TRUE(cats.count("op"));
-    if (!EmbeddingStore::disabledByEnv()) {
-        EXPECT_TRUE(cats.count("store"));
-    }
+    EXPECT_TRUE(cats.count("store"));
     EXPECT_GE(tids.size(), 2u);
 #endif
 }

@@ -16,7 +16,6 @@
 #include "core/characterizer.h"
 #include "pim/pim_model.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 #include "store/embedding_store.h"
 
@@ -322,9 +321,12 @@ class PimServingTest : public ::testing::Test
 
     EngineResult run(EngineConfig cfg)
     {
-        ServingEngine engine(&sched_, ModelId::kRM1, 0);
+        ServingNode engine(&sched_, ModelId::kRM1, 0);
         return engine.run(cfg);
     }
+
+    /** The near-memory lane on the sweep's kPim platform. */
+    static LaneConfig pimLane() { return LaneConfig{4, {}}; }
 
     static EngineConfig baseConfig()
     {
@@ -363,14 +365,15 @@ TEST_F(PimServingTest, DisabledLaneIsBitIdenticalToLegacyEngine)
     // because the aggregate divides by numWorkers + 1 servers.
     const EngineResult off = run(baseConfig());
     EngineConfig on_cfg = baseConfig();
-    on_cfg.pimLaneEnabled = true;
+    on_cfg.lanes = {pimLane()};
     const EngineResult on = run(on_cfg);
 
-    EXPECT_FALSE(off.pimEnabled);
-    EXPECT_TRUE(on.pimEnabled);
-    EXPECT_EQ(on.pimThreshold, QueryScheduler::kNoPimThreshold);
-    EXPECT_EQ(on.pimDeferredTickets, 0u);
-    EXPECT_EQ(on.pimLaneStats.samplesServed, 0u);
+    EXPECT_TRUE(off.lanes.empty());
+    ASSERT_EQ(on.lanes.size(), 1u);
+    const LaneResult& pim = on.lanes[0];
+    EXPECT_EQ(pim.threshold, QueryScheduler::kNoPimThreshold);
+    EXPECT_EQ(pim.deferredTickets, 0u);
+    EXPECT_EQ(pim.stats.samplesServed, 0u);
     ASSERT_EQ(off.perWorker.size(), on.perWorker.size());
     for (size_t w = 0; w < off.perWorker.size(); ++w) {
         EXPECT_EQ(off.perWorker[w].samplesServed,
@@ -394,16 +397,17 @@ TEST_F(PimServingTest, RoutesLargeBatchesToPimLane)
 {
     sched_.setPimThreshold(ModelId::kRM1, 32);
     EngineConfig cfg = baseConfig();
-    cfg.pimLaneEnabled = true;
+    cfg.lanes = {pimLane()};
     cfg.arrivalQps = 40000;  // ~40 samples per 1 ms window
     const EngineResult r = run(cfg);
 
-    EXPECT_TRUE(r.pimEnabled);
-    EXPECT_EQ(r.pimThreshold, 32);
-    EXPECT_GT(r.pimDeferredTickets, 0u);
-    EXPECT_GT(r.pimLaneStats.samplesServed, 0u);
-    EXPECT_GT(r.pimLaneStats.batchesServed, 0u);
-    EXPECT_GT(r.pimLaneStats.p99Latency, 0.0);
+    ASSERT_EQ(r.lanes.size(), 1u);
+    const LaneResult& pim = r.lanes[0];
+    EXPECT_EQ(pim.threshold, 32);
+    EXPECT_GT(pim.deferredTickets, 0u);
+    EXPECT_GT(pim.stats.samplesServed, 0u);
+    EXPECT_GT(pim.stats.batchesServed, 0u);
+    EXPECT_GT(pim.stats.p99Latency, 0.0);
 
     // Conservation across the split: every arrived sample was served
     // exactly once, by a CPU worker or by the PIM lane.
@@ -411,7 +415,7 @@ TEST_F(PimServingTest, RoutesLargeBatchesToPimLane)
     for (const ServingStats& w : r.perWorker) {
         cpu_served += w.samplesServed;
     }
-    EXPECT_EQ(cpu_served + r.pimLaneStats.samplesServed,
+    EXPECT_EQ(cpu_served + pim.stats.samplesServed,
               r.aggregate.samplesServed);
     EXPECT_EQ(r.aggregate.samplesServed, r.aggregate.samplesArrived);
 }
@@ -420,27 +424,25 @@ TEST_F(PimServingTest, DeterministicAcrossRuns)
 {
     sched_.setPimThreshold(ModelId::kRM1, 16);
     EngineConfig cfg = baseConfig();
-    cfg.pimLaneEnabled = true;
+    cfg.lanes = {pimLane()};
     cfg.numWorkers = 4;
     cfg.arrivalQps = 30000;
     const EngineResult a = run(cfg);
     const EngineResult b = run(cfg);
     EXPECT_EQ(a.aggregate.samplesServed, b.aggregate.samplesServed);
-    EXPECT_EQ(a.pimDeferredTickets, b.pimDeferredTickets);
-    EXPECT_EQ(a.pimLaneStats.samplesServed,
-              b.pimLaneStats.samplesServed);
+    EXPECT_EQ(a.lanes.at(0).deferredTickets, b.lanes.at(0).deferredTickets);
+    EXPECT_EQ(a.lanes.at(0).stats.samplesServed,
+              b.lanes.at(0).stats.samplesServed);
     EXPECT_DOUBLE_EQ(a.aggregate.p99Latency, b.aggregate.p99Latency);
 }
 
 TEST_F(PimServingTest, RejectsNonPimLanePlatform)
 {
     EngineConfig bad = baseConfig();
-    bad.pimLaneEnabled = true;
-    bad.pimPlatformIdx = 0;  // Bdw is a CPU
+    bad.lanes = {LaneConfig{0, {}}};  // Bdw is a CPU
     EXPECT_DEATH(run(bad), "kPim platform");
     EngineConfig oob = baseConfig();
-    oob.pimLaneEnabled = true;
-    oob.pimPlatformIdx = 99;
+    oob.lanes = {LaneConfig{99, {}}};
     EXPECT_DEATH(run(oob), "platform index");
 }
 

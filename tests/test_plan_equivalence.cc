@@ -94,7 +94,7 @@ TEST_P(PlanEquivalence, ExternalOutputsBitIdenticalPlanningOnVsOff)
     Executor::run(model.net, ref_ws, ref_opts);
 
     // Planning on: one CompiledNet, shared across thread widths the
-    // way ServingEngine shares it across workers.
+    // way ServingNode shares it across workers.
     auto compiled = CompiledNet::compile(model.net);
     ASSERT_TRUE(compiled->planningEnabled());
     for (int threads : {1, 8}) {
@@ -136,14 +136,14 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_b" + std::to_string(std::get<1>(info.param));
     });
 
-/** Aliasing disabled (env hatch) must match aliasing enabled. */
+/** Aliasing disabled (planMemory off) must match aliasing enabled. */
 TEST(PlanEquivalenceVariants, EscapeHatchMatchesPlannedNumerics)
 {
     const Model model = buildModel(ModelId::kDIEN, testOptions());
 
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_PLANNING", "1", 1), 0);
-    auto unplanned = CompiledNet::compile(model.net);
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_PLANNING"), 0);
+    CompileOptions no_plan;
+    no_plan.planMemory = false;
+    auto unplanned = CompiledNet::compile(model.net, no_plan);
     auto planned = CompiledNet::compile(model.net);
     ASSERT_FALSE(unplanned->planningEnabled());
     ASSERT_TRUE(planned->planningEnabled());

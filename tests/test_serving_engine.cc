@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the multi-worker serving engine: agreement with the
- * analytical simulator at one worker, determinism under real thread
- * interleaving, contention coupling, and batch-queue semantics.
+ * Tests of the multi-worker serving node: determinism under real
+ * thread interleaving, contention coupling, accelerator lanes, and
+ * batch-queue semantics.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <set>
 
 #include "serve/batch_queue.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 
 namespace recstack {
@@ -37,7 +36,7 @@ class ServingEngineTest : public ::testing::Test
                      double window = 1e-3, uint64_t seed = 42,
                      ExecMode mode = ExecMode::kProfileOnly)
     {
-        ServingEngine engine(&sched_, model, platform);
+        ServingNode engine(&sched_, model, platform);
         EngineConfig cfg;
         cfg.numWorkers = workers;
         cfg.arrivalQps = qps;
@@ -49,37 +48,9 @@ class ServingEngineTest : public ::testing::Test
         return engine.run(cfg);
     }
 
-    ServingStats simulate(ModelId model, size_t platform, double qps,
-                          int64_t max_batch = 256, double window = 1e-3)
-    {
-        ServingSimulator sim(&sched_, model, platform);
-        ServingConfig cfg;
-        cfg.arrivalQps = qps;
-        cfg.maxBatch = max_batch;
-        cfg.maxWaitSeconds = window;
-        cfg.simSeconds = 0.25;
-        return sim.simulate(cfg);
-    }
-
     SweepCache sweep_;
     QueryScheduler sched_;
 };
-
-TEST_F(ServingEngineTest, OneWorkerMatchesAnalyticalSimulator)
-{
-    const ServingStats sim = simulate(ModelId::kRM1, 0, 4000);
-    const EngineResult eng = run(ModelId::kRM1, 0, 1, 4000);
-    EXPECT_EQ(eng.aggregate.samplesArrived, sim.samplesArrived);
-    EXPECT_EQ(eng.aggregate.samplesServed, sim.samplesServed);
-    EXPECT_EQ(eng.aggregate.batchesServed, sim.batchesServed);
-    EXPECT_NEAR(eng.aggregate.meanLatency, sim.meanLatency,
-                sim.meanLatency * 0.05);
-    EXPECT_NEAR(eng.aggregate.p99Latency, sim.p99Latency,
-                sim.p99Latency * 0.05);
-    EXPECT_NEAR(eng.aggregate.throughputQps, sim.throughputQps,
-                sim.throughputQps * 0.05);
-    EXPECT_DOUBLE_EQ(eng.meanSlowdown, 1.0);
-}
 
 TEST_F(ServingEngineTest, DeterministicAcrossThreadInterleavings)
 {
@@ -153,7 +124,7 @@ TEST_F(ServingEngineTest, ContentionInflatesServiceWithOccupancy)
 
 TEST_F(ServingEngineTest, ContentionCanBeDisabled)
 {
-    ServingEngine engine(&sched_, ModelId::kRM2, 0);
+    ServingNode engine(&sched_, ModelId::kRM2, 0);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 50000;
@@ -199,10 +170,10 @@ TEST_F(ServingEngineTest, CompilesTheModelOnceAcrossWorkersAndRuns)
 
     // Warm the characterizer's lazy per-model compilations so the
     // counter delta below isolates the engine's own compile.
-    ServingEngine warmup(&sched_, ModelId::kNCF, 0);
+    ServingNode warmup(&sched_, ModelId::kNCF, 0);
     warmup.run(cfg);
 
-    ServingEngine engine(&sched_, ModelId::kNCF, 0);
+    ServingNode engine(&sched_, ModelId::kNCF, 0);
     EXPECT_EQ(engine.compiled(), nullptr);
     const uint64_t before = CompiledNet::compileCount();
     engine.run(cfg);
@@ -224,7 +195,7 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     // shared store the resident table footprint must be one backing
     // copy plus the (configurable) hot-row caches — O(1 copy + cache),
     // not O(workers).
-    ServingEngine engine(&sched_, ModelId::kRM2, 0);
+    ServingNode engine(&sched_, ModelId::kRM2, 0);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 2000;
@@ -235,7 +206,6 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     cfg.storeConfig.cacheBytesPerShard = 0;  // isolate the copy count
     const EngineResult r = engine.run(cfg);
 
-    EXPECT_TRUE(r.storeShared);
     EXPECT_GT(r.tableBytesOneCopy, 0u);
     EXPECT_EQ(r.perWorkerTableBytes, 4 * r.tableBytesOneCopy);
     EXPECT_EQ(r.residentTableBytes, r.tableBytesOneCopy);
@@ -253,17 +223,19 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     // capacity, still independent of the worker count.
     EngineConfig cached = cfg;
     cached.storeConfig.cacheBytesPerShard = 4u << 10;
-    ServingEngine cached_engine(&sched_, ModelId::kRM2, 0);
+    ServingNode cached_engine(&sched_, ModelId::kRM2, 0);
     const EngineResult rc = cached_engine.run(cached);
-    EXPECT_TRUE(rc.storeShared);
     EXPECT_LE(rc.residentTableBytes,
               rc.tableBytesOneCopy +
                   2ull * cached.storeConfig.cacheBytesPerShard);
     EXPECT_GT(rc.storeStats.total.hits, 0u);
 }
 
-TEST_F(ServingEngineTest, DisableHatchRestoresPerWorkerCopies)
+TEST_F(ServingEngineTest, StoreServedNumericsKeepVirtualTimeStats)
 {
+    // The store is a memory-layout change only: a real-numerics run
+    // served from the shared store has the same virtual-time serving
+    // statistics as a shape-only run of the same stream.
     EngineConfig cfg;
     cfg.numWorkers = 3;
     cfg.arrivalQps = 2000;
@@ -271,42 +243,38 @@ TEST_F(ServingEngineTest, DisableHatchRestoresPerWorkerCopies)
     cfg.simSeconds = 0.1;
     cfg.execMode = ExecMode::kNumericOnly;
 
-    ServingEngine store_engine(&sched_, ModelId::kNCF, 0);
+    ServingNode store_engine(&sched_, ModelId::kNCF, 0);
     const EngineResult with_store = store_engine.run(cfg);
 
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_STORE", "1", 1), 0);
-    ServingEngine dense_engine(&sched_, ModelId::kNCF, 0);
-    const EngineResult dense = dense_engine.run(cfg);
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_STORE"), 0);
+    cfg.execMode = ExecMode::kProfileOnly;
+    ServingNode profile_engine(&sched_, ModelId::kNCF, 0);
+    const EngineResult profile = profile_engine.run(cfg);
 
-    EXPECT_TRUE(with_store.storeShared);
-    EXPECT_FALSE(dense.storeShared);
-    EXPECT_EQ(dense.residentTableBytes, dense.perWorkerTableBytes);
-    EXPECT_EQ(dense.storeStats.total.lookups, 0u);
-    // The store is a memory-layout change only: the virtual-time
-    // serving statistics are identical either way.
+    EXPECT_GT(with_store.storeStats.total.lookups, 0u);
+    EXPECT_EQ(profile.residentTableBytes, 0u);
+    EXPECT_EQ(profile.storeStats.total.lookups, 0u);
     EXPECT_EQ(with_store.aggregate.samplesServed,
-              dense.aggregate.samplesServed);
+              profile.aggregate.samplesServed);
     EXPECT_EQ(with_store.aggregate.batchesServed,
-              dense.aggregate.batchesServed);
+              profile.aggregate.batchesServed);
     EXPECT_DOUBLE_EQ(with_store.aggregate.meanLatency,
-                     dense.aggregate.meanLatency);
+                     profile.aggregate.meanLatency);
     EXPECT_DOUBLE_EQ(with_store.aggregate.p99Latency,
-                     dense.aggregate.p99Latency);
+                     profile.aggregate.p99Latency);
 }
 
 TEST_F(ServingEngineTest, RejectsBadConfig)
 {
-    ServingEngine engine(&sched_, ModelId::kNCF, 0);
+    ServingNode engine(&sched_, ModelId::kNCF, 0);
     EngineConfig bad;
     bad.numWorkers = 0;
     EXPECT_DEATH(engine.run(bad), "at least one worker");
     EngineConfig bad_qps;
     bad_qps.arrivalQps = 0.0;
     EXPECT_DEATH(engine.run(bad_qps), "arrival rate");
-    EXPECT_DEATH(ServingEngine(nullptr, ModelId::kNCF, 0),
+    EXPECT_DEATH(ServingNode(nullptr, ModelId::kNCF, 0),
                  "needs a scheduler");
-    EXPECT_DEATH(ServingEngine(&sched_, ModelId::kNCF, 99),
+    EXPECT_DEATH(ServingNode(&sched_, ModelId::kNCF, 99),
                  "platform index");
 }
 
@@ -319,20 +287,21 @@ TEST_F(ServingEngineTest, HeterogeneousNoThresholdMatchesLegacyStats)
     // differ: the heterogeneous aggregate divides by numWorkers + 1
     // servers by contract.
     const EngineResult off = run(ModelId::kRM1, 0, 2, 8000);
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 8000;
     cfg.simSeconds = 0.25;
-    cfg.heterogeneous = true;
+    cfg.lanes = {LaneConfig{}};
     const EngineResult on = engine.run(cfg);
 
-    EXPECT_TRUE(on.heterogeneous);
-    EXPECT_FALSE(off.heterogeneous);
-    EXPECT_EQ(on.gpuThreshold, QueryScheduler::kNoGpuThreshold);
-    EXPECT_EQ(on.deferredTickets, 0u);
-    EXPECT_EQ(on.gpuLaneStats.samplesServed, 0u);
-    EXPECT_EQ(on.gpuLaneStats.batchesServed, 0u);
+    ASSERT_EQ(on.lanes.size(), 1u);
+    EXPECT_TRUE(off.lanes.empty());
+    const LaneResult& gpu = on.lanes[0];
+    EXPECT_EQ(gpu.threshold, QueryScheduler::kNoGpuThreshold);
+    EXPECT_EQ(gpu.deferredTickets, 0u);
+    EXPECT_EQ(gpu.stats.samplesServed, 0u);
+    EXPECT_EQ(gpu.stats.batchesServed, 0u);
     EXPECT_EQ(off.aggregate.samplesArrived, on.aggregate.samplesArrived);
     EXPECT_EQ(off.aggregate.samplesServed, on.aggregate.samplesServed);
     EXPECT_EQ(off.aggregate.batchesServed, on.aggregate.batchesServed);
@@ -347,21 +316,22 @@ TEST_F(ServingEngineTest, HeterogeneousNoThresholdMatchesLegacyStats)
 TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
 {
     sched_.setGpuThreshold(ModelId::kRM1, 32);
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 40000;  // ~40 samples per 1 ms window
     cfg.simSeconds = 0.25;
-    cfg.heterogeneous = true;
+    cfg.lanes = {LaneConfig{}};
     const EngineResult r = engine.run(cfg);
 
-    EXPECT_TRUE(r.heterogeneous);
-    EXPECT_EQ(r.gpuThreshold, 32);
-    EXPECT_GT(r.deferredTickets, 0u);
-    EXPECT_GT(r.gpuLaneStats.samplesServed, 0u);
-    EXPECT_GT(r.gpuLaneStats.batchesServed, 0u);
-    EXPECT_GT(r.gpuLaneStats.p99Latency, 0.0);
-    EXPECT_GT(r.gpuLaneStats.utilization, 0.0);
+    ASSERT_EQ(r.lanes.size(), 1u);
+    const LaneResult& gpu = r.lanes[0];
+    EXPECT_EQ(gpu.threshold, 32);
+    EXPECT_GT(gpu.deferredTickets, 0u);
+    EXPECT_GT(gpu.stats.samplesServed, 0u);
+    EXPECT_GT(gpu.stats.batchesServed, 0u);
+    EXPECT_GT(gpu.stats.p99Latency, 0.0);
+    EXPECT_GT(gpu.stats.utilization, 0.0);
 
     // Conservation across the split: every arrived sample was served
     // exactly once, by a CPU worker or by the lane.
@@ -371,10 +341,10 @@ TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
         cpu_served += w.samplesServed;
         cpu_batches += w.batchesServed;
     }
-    EXPECT_EQ(cpu_served + r.gpuLaneStats.samplesServed,
+    EXPECT_EQ(cpu_served + gpu.stats.samplesServed,
               r.aggregate.samplesServed);
     EXPECT_EQ(r.aggregate.samplesServed, r.aggregate.samplesArrived);
-    EXPECT_EQ(cpu_batches + r.gpuLaneStats.batchesServed,
+    EXPECT_EQ(cpu_batches + gpu.stats.batchesServed,
               r.aggregate.batchesServed);
     // Deferred batches were not executed on the host.
     EXPECT_EQ(r.batchesExecuted, cpu_batches);
@@ -383,37 +353,38 @@ TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
 TEST_F(ServingEngineTest, HeterogeneousDeterministicAcrossRuns)
 {
     sched_.setGpuThreshold(ModelId::kRM1, 16);
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 30000;
     cfg.simSeconds = 0.25;
-    cfg.heterogeneous = true;
+    cfg.lanes = {LaneConfig{}};
     const EngineResult a = engine.run(cfg);
     const EngineResult b = engine.run(cfg);
 
     EXPECT_EQ(a.aggregate.samplesServed, b.aggregate.samplesServed);
     EXPECT_EQ(a.aggregate.batchesServed, b.aggregate.batchesServed);
-    EXPECT_EQ(a.deferredTickets, b.deferredTickets);
-    EXPECT_EQ(a.gpuLaneStats.samplesServed, b.gpuLaneStats.samplesServed);
-    EXPECT_EQ(a.gpuLaneStats.batchesServed, b.gpuLaneStats.batchesServed);
-    EXPECT_DOUBLE_EQ(a.gpuLaneStats.p99Latency, b.gpuLaneStats.p99Latency);
+    const LaneResult& ga = a.lanes.at(0);
+    const LaneResult& gb = b.lanes.at(0);
+    EXPECT_EQ(ga.deferredTickets, gb.deferredTickets);
+    EXPECT_EQ(ga.stats.samplesServed, gb.stats.samplesServed);
+    EXPECT_EQ(ga.stats.batchesServed, gb.stats.batchesServed);
+    EXPECT_DOUBLE_EQ(ga.stats.p99Latency, gb.stats.p99Latency);
     EXPECT_DOUBLE_EQ(a.aggregate.meanLatency, b.aggregate.meanLatency);
     EXPECT_DOUBLE_EQ(a.aggregate.p99Latency, b.aggregate.p99Latency);
 }
 
 TEST_F(ServingEngineTest, HeterogeneousRejectsCpuLanePlatform)
 {
-    ServingEngine engine(&sched_, ModelId::kNCF, 0);
+    ServingNode engine(&sched_, ModelId::kNCF, 0);
     EngineConfig bad;
-    bad.heterogeneous = true;
-    bad.gpuPlatformIdx = 0;  // Bdw is a CPU
+    bad.lanes = {LaneConfig{0, {}}};  // Bdw is a CPU
     EXPECT_DEATH(engine.run(bad), "GPU platform");
 }
 
 TEST(BatchQueueTest, OccupancyTieCountsCompletingWorkerIdle)
 {
-    // Regression pinning the tie convention (batch_queue.h): service
+    // Regression pinning the tie convention (batcher.h): service
     // occupies the half-open interval [launch, completion), so a peer
     // whose completion lands *exactly* on this launch instant is idle
     // — it must not inflate the contention occupancy. Driven through
@@ -422,16 +393,16 @@ TEST(BatchQueueTest, OccupancyTieCountsCompletingWorkerIdle)
     const std::vector<double> ready = {0.5, 0.25};
     const std::vector<bool> active = {true, true};
     // Worker 1 launches exactly when worker 0 completes: idle peer.
-    EXPECT_EQ(BatchQueue::busyAtLaunch(ready, active, 1, 0.5), 1);
+    EXPECT_EQ(Batcher::busyAtLaunch(ready, active, 1, 0.5), 1);
     // One representable instant earlier the peer is still in service.
-    EXPECT_EQ(BatchQueue::busyAtLaunch(ready, active, 1,
+    EXPECT_EQ(Batcher::busyAtLaunch(ready, active, 1,
                                        std::nextafter(0.5, 0.0)),
               2);
     // Strictly later: idle too.
-    EXPECT_EQ(BatchQueue::busyAtLaunch(ready, active, 1, 0.75), 1);
+    EXPECT_EQ(Batcher::busyAtLaunch(ready, active, 1, 0.75), 1);
     // Retired peers never count, and the caller always counts once.
     const std::vector<bool> one_left = {false, true};
-    EXPECT_EQ(BatchQueue::busyAtLaunch(ready, one_left, 1, 0.1), 1);
+    EXPECT_EQ(Batcher::busyAtLaunch(ready, one_left, 1, 0.1), 1);
 }
 
 TEST(BatchQueueTest, AdmissionRespectsBatchCapAndWindow)

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests of the dynamic-batching serving simulator.
+ * Single-server dynamic-batching behaviour: one ServingNode worker with
+ * contention off and shape-only execution, the configuration the
+ * paper's serving curves (Fig. 5 as operating points) are read from.
  */
 
 #include <gtest/gtest.h>
 
-#include "sched/serving_sim.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -28,14 +30,23 @@ class ServingTest : public ::testing::Test
                      int64_t max_batch = 256,
                      double window = 1e-3, uint64_t seed = 42)
     {
-        ServingSimulator sim(&sched_, model, platform);
-        ServingConfig cfg;
+        ServingNode node(&sched_, model, platform);
+        EngineConfig cfg = config();
         cfg.arrivalQps = qps;
         cfg.maxBatch = max_batch;
         cfg.maxWaitSeconds = window;
-        cfg.simSeconds = 0.5;
         cfg.seed = seed;
-        return sim.simulate(cfg);
+        return node.run(cfg).aggregate;
+    }
+
+    static EngineConfig config()
+    {
+        EngineConfig cfg;
+        cfg.numWorkers = 1;
+        cfg.modelContention = false;
+        cfg.execMode = ExecMode::kProfileOnly;
+        cfg.simSeconds = 0.5;
+        return cfg;
     }
 
     SweepCache sweep_;
@@ -49,22 +60,6 @@ TEST_F(ServingTest, ConservesSamples)
     EXPECT_EQ(s.samplesServed, s.samplesArrived);
     EXPECT_EQ(s.droppedSamples, 0u);
     EXPECT_GT(s.batchesServed, 0u);
-}
-
-TEST_F(ServingTest, DrainCutoffAccountsDroppedSamples)
-{
-    // Regression: the drain loop hard-stops at 4x the arrival window;
-    // severely over-saturated configs used to lose the still-queued
-    // samples from every stat while counting them as arrived. Offer
-    // ~12x the batch-1 capacity with no batching so the backlog
-    // cannot clear within the cutoff.
-    const double service = sched_.latency(ModelId::kRM2, 0, 1);
-    const double qps = 12.0 / service;
-    const ServingStats s =
-        run(ModelId::kRM2, 0, qps, /*max_batch=*/1, /*window=*/0.0);
-    EXPECT_GT(s.droppedSamples, 0u);
-    EXPECT_EQ(s.samplesServed + s.droppedSamples, s.samplesArrived);
-    EXPECT_GT(s.samplesServed, 0u);
 }
 
 TEST_F(ServingTest, OfferedLoadUnclampedAtSaturation)
@@ -151,11 +146,11 @@ TEST_F(ServingTest, WindowTradesLatencyForBatching)
 
 TEST_F(ServingTest, RejectsBadConfig)
 {
-    ServingSimulator sim(&sched_, ModelId::kNCF, 0);
-    ServingConfig cfg;
+    ServingNode node(&sched_, ModelId::kNCF, 0);
+    EngineConfig cfg = config();
     cfg.arrivalQps = 0.0;
-    EXPECT_DEATH(sim.simulate(cfg), "arrival rate");
-    EXPECT_DEATH(ServingSimulator(nullptr, ModelId::kNCF, 0),
+    EXPECT_DEATH(node.run(cfg), "arrival rate");
+    EXPECT_DEATH(ServingNode(nullptr, ModelId::kNCF, 0),
                  "needs a scheduler");
 }
 

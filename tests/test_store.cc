@@ -400,17 +400,6 @@ TEST(StorePrefetch, AsyncPrefetchTurnsDemandMissesIntoHits)
         << "a prefetched batch must be all demand hits";
 }
 
-TEST(StoreEnv, DisableHatchReadsEnvironment)
-{
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_STORE"), 0);
-    EXPECT_FALSE(EmbeddingStore::disabledByEnv());
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_STORE", "0", 1), 0);
-    EXPECT_FALSE(EmbeddingStore::disabledByEnv());
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_STORE", "1", 1), 0);
-    EXPECT_TRUE(EmbeddingStore::disabledByEnv());
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_STORE"), 0);
-}
-
 // --- Concurrency (the TSan target of `ctest -L sanitize`). ------------
 
 TEST(StoreConcurrency, ParallelLookupsUpdatesAndPrefetch)

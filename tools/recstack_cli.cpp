@@ -43,7 +43,7 @@
 #include "fleet/fleet_sim.h"
 #include "sched/hill_climb.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 
@@ -506,11 +506,6 @@ cmdPlan(const std::string& model, int64_t batch, bool json)
 int
 cmdStore(const std::string& model_name, int64_t batch, bool json)
 {
-    if (EmbeddingStore::disabledByEnv()) {
-        std::printf("RECSTACK_DISABLE_STORE is set: store-backed "
-                    "execution is disabled, nothing to report.\n");
-        return 0;
-    }
     const ModelId id = modelFromName(model_name);
     // Full-size tables (RM2: 32 x 250k x 64 floats) are ~2 GB; a
     // scaled-down store keeps the command interactive while the cache
@@ -790,7 +785,7 @@ cmdObs(const std::string& model_name, int64_t batch,
     opts.tableScale = 0.05;
     SweepCache sweep(allPlatforms(), opts);
     QueryScheduler sched(&sweep, {1, 16, 64, 256, 1024});
-    ServingEngine engine(&sched, id, 0);
+    ServingNode engine(&sched, id, 0);
 
     EngineConfig cfg;
     cfg.numWorkers = 4;
@@ -830,16 +825,13 @@ cmdObs(const std::string& model_name, int64_t batch,
                 TextTable::fmtSeconds(check.p95).c_str(),
                 TextTable::fmtSeconds(check.p99).c_str(),
                 check.agrees ? "agrees with" : "DIVERGES from");
-    if (result.storeShared) {
-        std::printf("store: %llu lookups, hit rate %s, far-tier "
-                    "fetches %llu\n",
-                    static_cast<unsigned long long>(
-                        result.storeStats.total.lookups),
-                    TextTable::fmtPercent(result.storeStats.hitRate())
-                        .c_str(),
-                    static_cast<unsigned long long>(
-                        result.storeStats.total.farFetches));
-    }
+    std::printf("store: %llu lookups, hit rate %s, far-tier "
+                "fetches %llu\n",
+                static_cast<unsigned long long>(
+                    result.storeStats.total.lookups),
+                TextTable::fmtPercent(result.storeStats.hitRate()).c_str(),
+                static_cast<unsigned long long>(
+                    result.storeStats.total.farFetches));
 
     const obs::TraceSnapshot trace = obs::TraceBuffer::global().snapshot();
     std::printf("trace: %zu spans captured, %llu dropped "
@@ -890,20 +882,17 @@ cmdHetero(const std::string& model_name, bool json)
     QueryScheduler sched(&sweep, {1, 16, 64, 256, 1024});
     const size_t cpu_idx = 0;  // Broadwell worker pool
     const size_t gpu_idx = 3;  // T4 accelerator lane
-    ServingEngine engine(&sched, id, cpu_idx);
+    ServingNode engine(&sched, id, cpu_idx);
 
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.maxBatch = 256;
     cfg.maxWaitSeconds = 1e-3;
     cfg.simSeconds = 0.1;
-    cfg.heterogeneous = true;
-    cfg.gpuPlatformIdx = gpu_idx;
     // Match the lane's accumulation to the front queue: GPU service is
     // near-linear in batch past the amortization knee, so batching
     // beyond the front queue's cap stretches the tail for nothing.
-    cfg.gpuLane.maxBatch = cfg.maxBatch;
-    cfg.gpuLane.maxWaitSeconds = cfg.maxWaitSeconds;
+    cfg.lanes = {LaneConfig{gpu_idx, {cfg.maxBatch, cfg.maxWaitSeconds}}};
 
     // SLA = 3x the worse of the two platforms' half-load tails; the
     // tuning rate is 80% of the combined capacity estimate, past the
@@ -912,9 +901,9 @@ cmdHetero(const std::string& model_name, bool json)
     const double cap_cpu = cfg.numWorkers * 256.0 /
                            sched.latency(id, cpu_idx, 256);
     const double cap_gpu = 256.0 / sched.latency(id, gpu_idx, 256);
-    ServingEngine gpu_engine(&sched, id, gpu_idx);
+    ServingNode gpu_engine(&sched, id, gpu_idx);
     EngineConfig probe = cfg;
-    probe.heterogeneous = false;
+    probe.lanes.clear();
     probe.arrivalQps = 0.5 * cap_cpu;
     const double cpu_tail = engine.run(probe).aggregate.p99Latency;
     probe.arrivalQps = 0.5 * cap_gpu;
@@ -939,7 +928,7 @@ cmdHetero(const std::string& model_name, bool json)
     const EngineResult tuned = engine.run(cfg);
     const double gpu_share =
         tuned.aggregate.samplesServed > 0
-            ? static_cast<double>(tuned.gpuLaneStats.samplesServed) /
+            ? static_cast<double>(tuned.lanes.at(0).stats.samplesServed) /
                   static_cast<double>(tuned.aggregate.samplesServed)
             : 0.0;
     const auto threshold_label = [](int64_t t) {
@@ -979,7 +968,7 @@ cmdHetero(const std::string& model_name, bool json)
         std::printf("  \"gpuSampleShare\": %.4f,\n", gpu_share);
         std::printf("  \"deferredTickets\": %llu\n",
                     static_cast<unsigned long long>(
-                        tuned.deferredTickets));
+                        tuned.lanes.at(0).deferredTickets));
         std::printf("}\n");
         return 0;
     }
@@ -1006,7 +995,8 @@ cmdHetero(const std::string& model_name, bool json)
                 TextTable::fmt(hc.best.qps, 0).c_str(),
                 TextTable::fmtSeconds(hc.best.p99).c_str(),
                 TextTable::fmtPercent(gpu_share).c_str(),
-                static_cast<unsigned long long>(tuned.deferredTickets));
+                static_cast<unsigned long long>(
+                    tuned.lanes.at(0).deferredTickets));
     if (!hc.anyFeasible) {
         std::printf("no threshold on the grid held the SLA; reported "
                     "point has the least-bad tail\n");
