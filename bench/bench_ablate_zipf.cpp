@@ -44,5 +44,5 @@ main()
     check(latencies.front() > latencies.back(),
           "locality translates directly into latency for the "
           "embedding-dominated RM2");
-    return 0;
+    return bench::exitStatus();
 }

@@ -225,5 +225,5 @@ main()
             bucket,
           "the merged per-node histogram p99 agrees with the exact "
           "pooled p99 within one bucket");
-    return 0;
+    return bench::exitStatus();
 }

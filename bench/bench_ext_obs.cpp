@@ -63,7 +63,7 @@ spanLoopSeconds()
     return secondsSince(start);
 }
 
-int
+void
 runBench()
 {
     bench::banner("EXT-OBS",
@@ -160,7 +160,6 @@ runBench()
                  "statistics");
     bench::check(serving_spans > 0,
                  "captureTrace records spans from the serving stack");
-    return 0;
 }
 
 }  // namespace
@@ -169,5 +168,6 @@ runBench()
 int
 main()
 {
-    return recstack::runBench();
+    recstack::runBench();
+    return recstack::bench::exitStatus();
 }

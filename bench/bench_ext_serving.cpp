@@ -159,5 +159,5 @@ main()
                      "(the scheduling opportunity DeepRecSys exploits)");
 
     engineSection(sched);
-    return 0;
+    return bench::exitStatus();
 }

@@ -401,5 +401,5 @@ main()
           "a model whose tables exceed the near tier serves "
           "bit-exactly from disk with resident table DRAM below one "
           "dense copy");
-    return 0;
+    return bench::exitStatus();
 }

@@ -125,5 +125,5 @@ main()
     }
     check(pim_fc, "PIM (ext): FC/GRU-dominated NCF/WnD/MT-WnD/DIEN see "
                   "no end-to-end gain at any batch");
-    return 0;
+    return bench::exitStatus();
 }

@@ -107,5 +107,5 @@ main()
     check(arena_smaller, "liveness-planned arenas never stage more "
                          "host activation memory than per-blob "
                          "allocation");
-    return 0;
+    return bench::exitStatus();
 }

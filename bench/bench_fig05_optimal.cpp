@@ -51,5 +51,5 @@ main()
     check(sweep.optimalPlatform(ModelId::kNCF, 16384) != kBdw &&
               sweep.optimalPlatform(ModelId::kNCF, 16384) != kClx,
           "NCF at large batch: GPUs take over");
-    return 0;
+    return bench::exitStatus();
 }

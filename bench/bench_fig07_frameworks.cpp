@@ -82,5 +82,5 @@ main()
     check(max_gap < 0.25,
           "embedding/FC time shares are similar (first-order) across "
           "frameworks");
-    return 0;
+    return bench::exitStatus();
 }

@@ -51,5 +51,5 @@ main()
     }
     check(clx_faster, "Cascade Lake: shorter execution time despite "
                       "the reduced AVX instruction footprint");
-    return 0;
+    return bench::exitStatus();
 }

@@ -48,5 +48,5 @@ main()
     check(reduction(ModelId::kRM3) > reduction(ModelId::kRM1),
           "the FC-heavy RM3 sheds more instructions than the "
           "lookup-heavy RM1 (vector work halves, scalar work does not)");
-    return 0;
+    return bench::exitStatus();
 }

@@ -56,5 +56,5 @@ main()
     }
     check(clx_less, "Cascade Lake's better speculation reduces "
                     "DSB-limited cycles for RM1/RM2");
-    return 0;
+    return bench::exitStatus();
 }

@@ -74,5 +74,5 @@ main()
                      "observation)");
     check(weight(4, "LookupsPerTable") > 0.0,
           "more lookups per table pushes the backend toward memory");
-    return 0;
+    return bench::exitStatus();
 }

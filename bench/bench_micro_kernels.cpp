@@ -273,5 +273,5 @@ main(int argc, char** argv)
     ::benchmark::RunSpecifiedBenchmarks();
     ::benchmark::Shutdown();
     recstack::runSimdTierCheck();
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -154,5 +154,5 @@ int
 main()
 {
     recstack::runBench();
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -49,5 +49,5 @@ main()
     check(din.features.attention && din.net.opCount() > 1000,
           "DIN: large unrolled attention graph (~750 lookups, "
           "hundreds of local activation units)");
-    return 0;
+    return bench::exitStatus();
 }

@@ -133,5 +133,5 @@ main()
           "PIM (ext): aggregate in-memory bandwidth exceeds the host's "
           "DRAM while the host<->DPU path stays far narrower — the "
           "asymmetry the offload exploits");
-    return 0;
+    return bench::exitStatus();
 }

@@ -6,7 +6,8 @@
  * Shared plumbing for the figure/table regeneration binaries. Every
  * bench prints (a) the series the paper's figure plots and (b) a
  * PAPER-CHECK block stating the qualitative result the paper reports
- * and whether this run reproduces it.
+ * and whether this run reproduces it. A bench exits nonzero if any
+ * check diverged.
  */
 
 #include <algorithm>
@@ -31,12 +32,25 @@ banner(const char* figure, const char* title)
     std::printf("==============================================================\n");
 }
 
+/** [DIVERGES] lines check() has printed in this process. */
+inline int divergedChecks = 0;
+
 /** Print one qualitative paper-vs-measured check line. */
 inline void
 check(bool ok, const std::string& claim)
 {
     std::printf("  [%s] %s\n", ok ? "REPRODUCED" : "DIVERGES  ",
                 claim.c_str());
+    if (!ok) {
+        ++divergedChecks;
+    }
+}
+
+/** Exit status for a bench's main(): nonzero if any check diverged. */
+inline int
+exitStatus()
+{
+    return divergedChecks == 0 ? 0 : 1;
 }
 
 inline void

@@ -17,31 +17,10 @@ GsharePredictor::GsharePredictor(int table_bits, int history_bits)
     table_.assign(1ull << tableBits_, 2);  // weakly taken
 }
 
-uint64_t
-GsharePredictor::index(uint64_t pc) const
-{
-    const uint64_t mask = (1ull << tableBits_) - 1;
-    return ((pc >> 2) ^ history_) & mask;
-}
-
 bool
 GsharePredictor::predict(uint64_t pc) const
 {
     return table_[index(pc)] >= 2;
-}
-
-bool
-GsharePredictor::predictAndUpdate(uint64_t pc, bool taken)
-{
-    const uint64_t idx = index(pc);
-    const bool predicted = table_[idx] >= 2;
-    if (taken && table_[idx] < 3) {
-        ++table_[idx];
-    } else if (!taken && table_[idx] > 0) {
-        --table_[idx];
-    }
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-    return predicted != taken;
 }
 
 void
@@ -74,8 +53,12 @@ simulateBranchStream(GsharePredictor& bp, const BranchStream& stream,
     }
 
     // A branch group is a handful of static branch sites.
-    constexpr int kSites = 4;
+    constexpr uint64_t kSites = 4;
 
+    // phase is i % period and site is i % kSites, kept as counters.
+    const bool mostly_taken = p >= 0.5;
+    uint64_t phase = 0;
+    uint64_t site = 0;
     for (uint64_t i = 0; i < n; ++i) {
         bool taken;
         bool patterned = false;
@@ -84,22 +67,27 @@ simulateBranchStream(GsharePredictor& bp, const BranchStream& stream,
         } else {
             patterned = true;
             if (period == 0) {
-                taken = p >= 0.5;
-            } else if (p >= 0.5) {
-                taken = (i % period) != 0;
+                taken = mostly_taken;
+            } else if (mostly_taken) {
+                taken = phase != 0;
             } else {
-                taken = (i % period) == 0;
+                taken = phase == 0;
             }
         }
-        const uint64_t pc =
-            pc_base + 16 * (i % static_cast<uint64_t>(kSites));
-        const bool gshare_wrong = bp.predictAndUpdate(pc, taken);
+        const bool gshare_wrong =
+            bp.predictAndUpdate(pc_base + 16 * site, taken);
         // The loop side-predictor captures the deterministic periodic
         // component once it has seen a full period.
         const bool covered =
             loop_predictor && patterned && i >= period;
         if (gshare_wrong && !covered) {
             ++result.mispredicts;
+        }
+        if (++phase == period) {
+            phase = 0;
+        }
+        if (++site == kSites) {
+            site = 0;
         }
     }
     return result;

@@ -1,5 +1,8 @@
 #include "uarch/cache.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.h"
 
 namespace recstack {
@@ -28,129 +31,86 @@ Cache::Cache(uint64_t size_bytes, int ways, int line_bytes)
             (static_cast<uint64_t>(ways_) *
              static_cast<uint64_t>(lineBytes_));
     RECSTACK_CHECK(sets_ > 0, "cache smaller than one set");
-    // Non-power-of-two set counts are allowed (22 MB L3s exist); the
-    // index is taken modulo sets_.
-    lines_.assign(sets_ * static_cast<uint64_t>(ways_), Line{});
-}
-
-uint64_t
-Cache::setIndex(uint64_t addr) const
-{
-    return (addr >> lineShift_) % sets_;
-}
-
-uint64_t
-Cache::tagOf(uint64_t addr) const
-{
-    return addr >> lineShift_;
-}
-
-uint64_t
-Cache::lineAddr(uint64_t tag, uint64_t set) const
-{
-    (void)set;
-    return tag << lineShift_;
+    // Non-power-of-two set counts are allowed; their index is taken
+    // modulo sets_, every other one with a mask.
+    setsArePow2_ = (sets_ & (sets_ - 1)) == 0;
+    keys_.assign(sets_ * static_cast<uint64_t>(ways_), 0);
 }
 
 bool
-Cache::access(uint64_t addr, uint64_t* evicted)
+Cache::touch(uint64_t* set, uint64_t key, uint64_t* evicted)
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    ++clock_;
-
-    Line* lru_line = base;
+    // Rotate the key in at the front: each way takes the key before
+    // it until the key displaced is the key itself (a hit), an empty
+    // way, or the LRU line pushed off the tail of a full set.
+    uint64_t displaced = key;
     for (int w = 0; w < ways_; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = clock_;
-            ++hits_;
+        std::swap(displaced, set[w]);
+        if (displaced == key) {
             return true;
         }
-        if (!line.valid) {
-            lru_line = &line;  // prefer invalid victims
-        } else if (lru_line->valid && line.lru < lru_line->lru) {
-            lru_line = &line;
+        if (displaced == 0) {
+            break;
         }
     }
-    ++misses_;
     if (evicted != nullptr) {
-        *evicted = lru_line->valid ? lineAddr(lru_line->tag, set)
-                                   : UINT64_MAX;
+        *evicted = displaced != 0 ? (displaced - 1) << lineShift_
+                                  : UINT64_MAX;
     }
-    lru_line->valid = true;
-    lru_line->tag = tag;
-    lru_line->lru = clock_;
+    return false;
+}
+
+bool
+Cache::access(uint64_t addr, uint64_t set, uint64_t* evicted)
+{
+    if (touch(&keys_[set * static_cast<uint64_t>(ways_)], keyOf(addr),
+              evicted)) {
+        ++hits_;
+        return true;
+    }
+    ++misses_;
     return false;
 }
 
 bool
 Cache::probe(uint64_t addr) const
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    const Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    for (int w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            return true;
-        }
-    }
-    return false;
+    const uint64_t key = keyOf(addr);
+    const uint64_t* set =
+        &keys_[setIndex(addr) * static_cast<uint64_t>(ways_)];
+    const int w = find(set, key);
+    return w < ways_ && set[w] == key;
 }
 
 void
 Cache::insert(uint64_t addr, uint64_t* evicted)
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    ++clock_;
-
-    Line* lru_line = base;
-    for (int w = 0; w < ways_; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = clock_;
-            return;  // already present
-        }
-        if (!line.valid) {
-            lru_line = &line;
-        } else if (lru_line->valid && line.lru < lru_line->lru) {
-            lru_line = &line;
-        }
-    }
-    if (evicted != nullptr) {
-        *evicted = lru_line->valid ? lineAddr(lru_line->tag, set)
-                                   : UINT64_MAX;
-    }
-    lru_line->valid = true;
-    lru_line->tag = tag;
-    lru_line->lru = clock_;
+    touch(&keys_[setIndex(addr) * static_cast<uint64_t>(ways_)],
+          keyOf(addr), evicted);
 }
 
-void
+bool
 Cache::invalidate(uint64_t addr)
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    for (int w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].valid = false;
-            return;
-        }
+    const uint64_t key = keyOf(addr);
+    uint64_t* set = &keys_[setIndex(addr) * static_cast<uint64_t>(ways_)];
+    int w = find(set, key);
+    if (w == ways_ || set[w] != key) {
+        return false;
     }
+    // Close the gap so empty ways stay at the tail.
+    for (; w + 1 < ways_ && set[w + 1] != 0; ++w) {
+        set[w] = set[w + 1];
+    }
+    set[w] = 0;
+    return true;
 }
 
 void
 Cache::reset()
 {
-    for (auto& line : lines_) {
-        line = Line{};
-    }
+    std::fill(keys_.begin(), keys_.end(), 0);
     hits_ = misses_ = 0;
-    clock_ = 0;
 }
 
 }  // namespace recstack

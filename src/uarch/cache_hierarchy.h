@@ -9,6 +9,8 @@
  * L2 evictions), matching Table II's "Cache Inclusion Policy" row.
  */
 
+#include <array>
+
 #include "platform/platform.h"
 #include "uarch/cache.h"
 
@@ -23,8 +25,20 @@ class CacheHierarchy
   public:
     explicit CacheHierarchy(const CpuConfig& cfg);
 
+    /** Line counts per serving level, indexed by HitLevel. */
+    using LevelCounts = std::array<uint64_t, 4>;
+
     /** Access one line-sized location; returns the serving level. */
     HitLevel access(uint64_t addr, bool is_write);
+
+    /**
+     * Access @c lines consecutive lines, the first one holding
+     * @c addr, and add each line's serving level to @c counts. The
+     * access sequence is exactly that of calling access() on
+     * @c addr, @c addr + 64, ...; each level's set index is stepped
+     * from line to line instead of recomputed.
+     */
+    void accessRun(uint64_t addr, uint64_t lines, LevelCounts& counts);
 
     void reset();
 
@@ -33,6 +47,10 @@ class CacheHierarchy
     const Cache& l3() const { return l3_; }
 
   private:
+    /** access() with each level's set index of @c addr known. */
+    HitLevel accessLine(uint64_t addr, uint64_t set1, uint64_t set2,
+                        uint64_t set3);
+
     Cache l1_;
     Cache l2_;
     Cache l3_;

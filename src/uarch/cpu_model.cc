@@ -1,6 +1,7 @@
 #include "uarch/cpu_model.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 namespace recstack {
@@ -86,6 +87,22 @@ CpuModel::regionBase(const std::string& name, uint64_t footprint)
     return base;
 }
 
+const std::string&
+CpuModel::regionKey(std::string_view prefix, std::string_view name,
+                   int index)
+{
+    keyBuf_.assign(prefix);
+    keyBuf_.append(name);
+    if (index >= 0) {
+        char digits[16];
+        const auto end =
+            std::to_chars(digits, digits + sizeof(digits), index).ptr;
+        keyBuf_.push_back(':');
+        keyBuf_.append(digits, end);
+    }
+    return keyBuf_;
+}
+
 UopMix
 CpuModel::lowerUops(const KernelProfile& kp) const
 {
@@ -166,7 +183,7 @@ CpuModel::simulateStream(const MemStream& s)
         chunks,
         s.pattern == AccessPattern::kRandom ? s.zipfExponent : 0.0);
 
-    uint64_t raw_l1 = 0, raw_l2 = 0, raw_l3 = 0, raw_dram = 0;
+    CacheHierarchy::LevelCounts raw{};
     for (uint64_t i = 0; i < sim; ++i) {
         uint64_t chunk_idx;
         switch (s.pattern) {
@@ -185,25 +202,18 @@ CpuModel::simulateStream(const MemStream& s)
             chunk_idx = chunk_zipf.sample(rng_);
             break;
         }
-        const uint64_t addr = base + chunk_idx * s.chunkBytes;
-        for (uint64_t l = 0; l < lines_per_chunk; ++l) {
-            switch (dcache_.access(addr + l * 64, s.isWrite)) {
-              case HitLevel::kL1: ++raw_l1; break;
-              case HitLevel::kL2: ++raw_l2; break;
-              case HitLevel::kL3: ++raw_l3; break;
-              case HitLevel::kDram: ++raw_dram; break;
-            }
-        }
+        dcache_.accessRun(base + chunk_idx * s.chunkBytes, lines_per_chunk,
+                          raw);
     }
 
     auto scaled = [scale](uint64_t v) {
         return static_cast<uint64_t>(std::llround(
             static_cast<double>(v) * scale));
     };
-    out.l1 = scaled(raw_l1);
-    out.l2 = scaled(raw_l2);
-    out.l3 = scaled(raw_l3);
-    out.dram = scaled(raw_dram);
+    out.l1 = scaled(raw[static_cast<size_t>(HitLevel::kL1)]);
+    out.l2 = scaled(raw[static_cast<size_t>(HitLevel::kL2)]);
+    out.l3 = scaled(raw[static_cast<size_t>(HitLevel::kL3)]);
+    out.dram = scaled(raw[static_cast<size_t>(HitLevel::kDram)]);
     out.dramBytes = out.dram * 64;
 
     const double exposure = patternExposure(s.pattern, cfg_);
@@ -218,13 +228,13 @@ CpuModel::simulateStream(const MemStream& s)
 }
 
 void
-CpuModel::walkCode(const std::string& region, uint64_t bytes,
+CpuModel::walkCode(const std::string& region_key, uint64_t bytes,
                    double fraction, uint64_t* accesses, uint64_t* misses)
 {
     if (bytes == 0 || fraction <= 0.0) {
         return;
     }
-    const uint64_t base = regionBase("code:" + region, bytes);
+    const uint64_t base = regionBase(region_key, bytes);
     const uint64_t lines = (bytes + 63) / 64;
     const uint64_t walk =
         std::max<uint64_t>(1, static_cast<uint64_t>(
@@ -274,8 +284,7 @@ CpuModel::simulateKernel(const KernelProfile& kp)
             continue;
         }
         const uint64_t pc_base = regionBase(
-            "branch:" + kp.opName + ":" + std::to_string(stream_idx++),
-            256);
+            regionKey("branch:", kp.opName, stream_idx++), 256);
         const BranchSimResult br =
             simulateBranchStream(bp_, b, pc_base, rng_, kMaxBranchSample,
                                  cfg_.bpLoopPredictor);
@@ -294,17 +303,18 @@ CpuModel::simulateKernel(const KernelProfile& kp)
     lastOpType_ = kp.opType;
     uint64_t iacc = 0, imiss = 0;
     if (kp.dispatchCodeBytes > 0) {
-        walkCode("dispatch:shared",
+        walkCode(regionKey("code:dispatch:", "shared"),
                  std::max(kp.dispatchCodeBytes, kSharedDispatchBytes),
                  type_switch ? kSharedWalkOnSwitch : kSharedWalkOnRepeat,
                  &iacc, &imiss);
-        walkCode("dispatch:" + kp.opType, kTypeGlueBytes,
+        walkCode(regionKey("code:dispatch:", kp.opType), kTypeGlueBytes,
                  type_switch ? kGlueWalkOnSwitch : kGlueWalkOnRepeat,
                  &iacc, &imiss);
     }
     double extra_misses = 0.0;
     if (kp.codeFootprintBytes > 0 && !kp.codeRegion.empty()) {
-        walkCode(kp.codeRegion, kp.codeFootprintBytes, 1.0, &iacc, &imiss);
+        walkCode(regionKey("code:", kp.codeRegion), kp.codeFootprintBytes,
+                 1.0, &iacc, &imiss);
         // Iterations beyond the first re-fetch the loop body; it only
         // misses if the body does not fit the L1I.
         const double resident_limit =

@@ -19,6 +19,7 @@
  */
 
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/rng.h"
@@ -84,13 +85,22 @@ class CpuModel
     /** Base address for a named data/code region (stable per name). */
     uint64_t regionBase(const std::string& name, uint64_t footprint);
 
+    /**
+     * The region name @c prefix + @c name, plus ":" + @c index when
+     * @c index >= 0. Built in one buffer reused by every call, so the
+     * per-kernel region lookups allocate nothing once it has grown;
+     * the reference is valid until the next call.
+     */
+    const std::string& regionKey(std::string_view prefix,
+                                 std::string_view name, int index = -1);
+
     StreamOut simulateStream(const MemStream& s);
 
     /**
-     * Walk @c fraction of a code region through the L1I, starting at
-     * a deterministic rotating offset.
+     * Walk @c fraction of the code region named @c region_key
+     * through the L1I, starting at a deterministic rotating offset.
      */
-    void walkCode(const std::string& region, uint64_t bytes,
+    void walkCode(const std::string& region_key, uint64_t bytes,
                   double fraction, uint64_t* accesses, uint64_t* misses);
 
     CpuConfig cfg_;
@@ -105,6 +115,7 @@ class CpuModel
     std::unordered_map<std::string, std::pair<uint64_t, uint64_t>>
         regions_;              ///< name -> {base, size}
     uint64_t nextBase_ = 0x100000000ull;
+    std::string keyBuf_;       ///< regionKey()'s reused buffer
     std::string lastOpType_;   ///< dispatch-path warmth tracking
 };
 

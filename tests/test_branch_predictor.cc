@@ -167,6 +167,60 @@ TEST(BranchStream, BroadwellVsCascadeLakeOrdering)
     EXPECT_LT(mc.mispredicts, mb.mispredicts);
 }
 
+/**
+ * Exact mispredict counts of simulateBranchStream, recorded from the
+ * version that derived the loop phase and branch site with i % period
+ * and i % 4. They pin the sampling loop itself: same draws, same
+ * outcomes, same sites. takenProbability spans periods 2-7 from both
+ * sides of 0.5 and period 0 (never-taken and always-taken); period 1
+ * cannot occur, since lround(1 / (1 - p)) >= 2 for p >= 0.5 and
+ * lround(1 / p) >= 2 for p < 0.5.
+ */
+struct PinnedStream {
+    double takenProbability;
+    uint64_t period;           // printed on failure
+    double randomness;
+    uint64_t gshareOnly;       // loop predictor off
+    uint64_t withLoop;         // loop predictor on
+};
+
+TEST(BranchStream, PinnedMispredictCounts)
+{
+    const PinnedStream kPinned[] = {
+        {0.0, 0, 0.0, 4, 0},           {0.0, 0, 0.3, 4, 3},
+        {1.0, 0, 0.0, 0, 0},           {1.0, 0, 0.3, 0, 0},
+        {0.5, 2, 0.0, 6, 1},           {0.5, 2, 0.3, 473, 313},
+        {2.0 / 3.0, 3, 0.0, 7, 1},     {2.0 / 3.0, 3, 0.3, 447, 261},
+        {0.75, 4, 0.0, 3, 1},          {0.75, 4, 0.3, 388, 213},
+        {0.8, 5, 0.0, 6, 1},           {0.8, 5, 0.3, 349, 171},
+        {5.0 / 6.0, 6, 0.0, 4, 1},     {5.0 / 6.0, 6, 0.3, 277, 149},
+        {6.0 / 7.0, 7, 0.0, 6, 1},     {6.0 / 7.0, 7, 0.3, 248, 120},
+        {0.45, 2, 0.0, 5, 1},          {0.45, 2, 0.3, 469, 326},
+        {1.0 / 3.0, 3, 0.0, 12, 2},    {1.0 / 3.0, 3, 0.3, 630, 307},
+        {0.25, 4, 0.0, 7, 3},          {0.25, 4, 0.3, 477, 248},
+        {0.2, 5, 0.0, 19, 3},          {0.2, 5, 0.3, 428, 213},
+        {1.0 / 6.0, 6, 0.0, 11, 4},    {1.0 / 6.0, 6, 0.3, 393, 187},
+        {1.0 / 7.0, 7, 0.0, 22, 5},    {1.0 / 7.0, 7, 0.3, 341, 160},
+    };
+    for (const PinnedStream& pin : kPinned) {
+        BranchStream s;
+        s.count = 3000;
+        s.takenProbability = pin.takenProbability;
+        s.randomness = pin.randomness;
+        for (bool loop : {false, true}) {
+            GsharePredictor bp(10, 8);
+            Rng rng(11);
+            const auto r =
+                simulateBranchStream(bp, s, 0x7000, rng, 2048, loop);
+            EXPECT_EQ(r.simulated, 2048u);
+            EXPECT_EQ(r.mispredicts, loop ? pin.withLoop : pin.gshareOnly)
+                << "p=" << pin.takenProbability << " (period "
+                << pin.period << ") randomness=" << pin.randomness
+                << " loop=" << loop;
+        }
+    }
+}
+
 /** Sweep randomness: mispredict rate grows monotonically-ish. */
 class RandomnessSweep : public ::testing::TestWithParam<double>
 {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "uarch/cache_hierarchy.h"
 
 namespace recstack {
@@ -129,6 +130,37 @@ TEST(CacheHierarchy, ResetColdsEverything)
     h.access(0, false);
     h.reset();
     EXPECT_EQ(h.access(0, false), HitLevel::kDram);
+}
+
+TEST(CacheHierarchy, AccessRunMatchesPerLineAccesses)
+{
+    // Runs of up to 40 lines wrap past every level's last set (8, 16
+    // and 32 or 24 sets) and start anywhere inside a line; the 24-set
+    // L3 steps a non-power-of-two index.
+    CpuConfig odd_l3 = tinyConfig(InclusionPolicy::kInclusive);
+    odd_l3.l3 = {12 * 1024, 8, 40};
+    for (const CpuConfig& cfg :
+         {tinyConfig(InclusionPolicy::kInclusive),
+          tinyConfig(InclusionPolicy::kExclusive), odd_l3}) {
+        CacheHierarchy run(cfg);
+        CacheHierarchy per_line(cfg);
+        Rng rng(9);
+        for (int i = 0; i < 3000; ++i) {
+            const uint64_t addr = rng.nextBounded(64 * 1024);
+            const uint64_t lines = 1 + rng.nextBounded(40);
+            CacheHierarchy::LevelCounts got{};
+            CacheHierarchy::LevelCounts want{};
+            run.accessRun(addr, lines, got);
+            for (uint64_t l = 0; l < lines; ++l) {
+                ++want[static_cast<size_t>(
+                    per_line.access(addr + l * 64, false))];
+            }
+            ASSERT_EQ(got, want) << "run of " << lines << " at " << addr;
+        }
+        EXPECT_EQ(run.l1().hits(), per_line.l1().hits());
+        EXPECT_EQ(run.l2().misses(), per_line.l2().misses());
+        EXPECT_EQ(run.l3().misses(), per_line.l3().misses());
+    }
 }
 
 TEST(CacheHierarchy, TableIIConfigsConstruct)

@@ -17,8 +17,8 @@ WorkloadSpec
 demoSpec()
 {
     WorkloadSpec spec;
-    spec.categorical.push_back({"idx0", "len0", 1000, 5, 0.0});
-    spec.categorical.push_back({"idx1", "len1", 200, 2, 0.9});
+    spec.categorical.push_back({"idx0", "len0", 1000, 5, 0.0, ""});
+    spec.categorical.push_back({"idx1", "len1", 200, 2, 0.9, ""});
     spec.continuous.push_back({"dense", 13});
     return spec;
 }
@@ -80,7 +80,7 @@ TEST(BatchGenerator, DeterministicPerSeedAndBatch)
 TEST(BatchGenerator, ZipfSkewConcentratesIndices)
 {
     WorkloadSpec skew;
-    skew.categorical.push_back({"idx", "len", 100000, 50, 1.1});
+    skew.categorical.push_back({"idx", "len", 100000, 50, 1.1, ""});
     Workspace ws;
     BatchGenerator gen(skew);
     gen.materialize(ws, 64);
